@@ -7,7 +7,6 @@ synthetically symmetrized one that depends on content only.
 
 from codonlab import (
     builtin_standard_code,
-    multiset_invariance_violation,
     partition_classes,
     prefix_significance,
     symmetrized_code,
@@ -34,12 +33,11 @@ for codon, product in zip(agu.codons, agu.products):
     print(f"  {codon} -> {product}")
 print()
 
-metrics = multiset_invariance_violation(code)
-print(f"Same-class codon pairs:      {metrics.pairs_total}")
-print(f"  with different products:   {metrics.pairs_violating}"
-      f"  (fraction {metrics.fraction:.4f})")
-print(f"  excluding stop codons:     {metrics.pairs_violating_excluding_stop}"
-      f" of {metrics.pairs_total_excluding_stop}")
+print(f"Same-class codon pairs:      {report.pairs_total}")
+print(f"  with different products:   {report.pairs_violating}"
+      f"  (fraction {report.fraction:.4f})")
+print(f"  excluding stop codons:     {report.pairs_violating_excluding_stop}"
+      f" of {report.pairs_total_excluding_stop}")
 print()
 
 prefixes = prefix_significance(code)
@@ -47,14 +45,13 @@ degenerate = [e.prefix for e in prefixes.per_prefix if e.fully_degenerate]
 print(f"Two-base prefixes where the third base never matters: {len(degenerate)} of 16")
 print(f"  {', '.join(degenerate)}")
 print(f"A code ignoring the third base could name at most 16 products;"
-      f" this one names {prefixes.distinct_amino_count_actual}.")
+      f" this one names {len(code.amino_acid_image)}.")
 print()
 
 flattened = symmetrized_code(code)
-flat_metrics = multiset_invariance_violation(flattened)
 flat_report = partition_classes(flattened)
 stops_left = " plus stop" if "*" in flattened.aas else ""
 print("After forcing every class to its lowest-index member's product:")
-print(f"  violating pairs: {flat_metrics.pairs_violating},"
+print(f"  violating pairs: {flat_report.pairs_violating},"
       f" coherent classes: {flat_report.coherent_count} of 20,"
-      f" distinct products left: {flat_report.amino_image_size}{stops_left}")
+      f" distinct products left: {len(flattened.amino_acid_image)}{stops_left}")

@@ -61,7 +61,6 @@ from .symmetry import (
     ClassReport,
     PrefixReport,
     SymmetryReport,
-    ViolationMetrics,
     codon_partition,
     multiset_invariance_violation,
     partition_classes,

@@ -15,7 +15,7 @@ import sys
 
 from . import reports
 from .combinatorics import DEFAULT_CLASS_CAP
-from .errors import CapacityExceededError, InvalidParamsError, TableFormatError
+from .errors import CodonLabError, InvalidParamsError
 from .genetic_code import BUILTIN_TABLE_TEXTS, builtin_code, parse_table
 from .grover import DEFAULT_SIM_CAP
 from .physics import PhysicalParams
@@ -108,15 +108,24 @@ def _config_getter(args, parser):
     return get
 
 
+def _number(value, kind, name):
+    """Convert an option value, from a flag or a config file, with int or float."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        noun = "an integer" if kind is int else "a number"
+        raise InvalidParamsError(f"{name} must be {noun}, got {value!r}") from None
+
+
 def _run_count(get, parser) -> dict:
     k, r = get("k"), get("r")
     if k is None or r is None:
         parser.error("count requires --k and --r")
     return reports.build_count_report(
-        int(k),
-        int(r),
+        _number(k, int, "k"),
+        _number(r, int, "r"),
         alphabet=get("alphabet"),
-        cap=int(get("cap", DEFAULT_CLASS_CAP)),
+        cap=_number(get("cap", DEFAULT_CLASS_CAP), int, "cap"),
         include_classes=not get("skip_classes", False),
     )
 
@@ -137,7 +146,7 @@ def _run_analyze(get, parser) -> dict:
             raise InvalidParamsError(f"cannot read table file: {exc}") from exc
         code, source = parse_table(text), f"table:{path}"
     else:
-        seed = int(get("random_seed"))
+        seed = _number(get("random_seed"), int, "random_seed")
         code, source = random_code(seed), f"random-seed:{seed}"
     return reports.build_analyze_report(code, source)
 
@@ -147,36 +156,43 @@ def _run_grover(get, parser, mode) -> dict:
         q = get("q")
         if q is None:
             parser.error("grover solve-n requires --q")
-        return reports.build_grover_solve_n_report(int(q))
+        return reports.build_grover_solve_n_report(_number(q, int, "q"))
     if mode == "solve-q":
         n = get("n")
         if n is None:
             parser.error("grover solve-q requires --n")
-        return reports.build_grover_solve_q_report(float(n))
+        return reports.build_grover_solve_q_report(_number(n, float, "n"))
     n, q = get("n"), get("q")
     if n is None or q is None:
         parser.error("grover simulate requires --n and --q")
     return reports.build_grover_simulate_report(
-        int(n), int(q), int(get("marked", 0)), cap=int(get("cap", DEFAULT_SIM_CAP))
+        _number(n, int, "n"),
+        _number(q, int, "q"),
+        _number(get("marked", 0), int, "marked"),
+        cap=_number(get("cap", DEFAULT_SIM_CAP), int, "cap"),
     )
 
 
 def _run_energy(get, parser) -> dict:
     params = PhysicalParams(
-        hbar=float(get("hbar", PhysicalParams.hbar)),
-        delta_x=float(get("delta_x", PhysicalParams.delta_x)),
-        mass=float(get("mass", PhysicalParams.mass)),
-        hbond_energy=float(get("hbond", PhysicalParams.hbond_energy)),
+        hbar=_number(get("hbar", PhysicalParams.hbar), float, "hbar"),
+        delta_x=_number(get("delta_x", PhysicalParams.delta_x), float, "delta_x"),
+        mass=_number(get("mass", PhysicalParams.mass), float, "mass"),
+        hbond_energy=_number(get("hbond", PhysicalParams.hbond_energy), float, "hbond"),
     )
-    return reports.build_energy_report(params, float(get("scale", DEFAULT_SCALE_FACTOR)))
+    scale = _number(get("scale", DEFAULT_SCALE_FACTOR), float, "scale")
+    return reports.build_energy_report(params, scale)
 
 
 def _write(payload: str, output) -> None:
     if output in (None, "-"):
         sys.stdout.write(payload)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8", newline="") as handle:
             handle.write(payload)
+    except OSError as exc:
+        raise InvalidParamsError(f"cannot write output file: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -192,15 +208,8 @@ def main(argv=None) -> int:
             report = _run_grover(get, parser, args.mode)
         else:
             report = _run_energy(get, parser)
-        payload = reports.render(report, fmt=get("format", "text"))
-    except TableFormatError as exc:
+        _write(reports.render(report, fmt=get("format", "text")), get("output"))
+    except CodonLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InvalidParamsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapacityExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    _write(payload, get("output"))
+        return exc.exit_code
     return 0

@@ -13,6 +13,7 @@ touches floating point.
 import itertools
 import math
 import string
+import sys
 from dataclasses import dataclass
 
 from .errors import CapacityExceededError, InvalidParamsError, UnknownLetterError
@@ -80,6 +81,23 @@ def arrangements(k: int, r: int) -> int:
     """
     _check_k_r(k, r, min_k=0)
     return k**r
+
+
+def check_printable(k: int, r: int) -> None:
+    """Refuse k, r whose counts would have more digits than str() may print.
+
+    Python 3.11 and later refuse to convert an integer of more than
+    sys.get_int_max_str_digits() decimal digits (0 means no limit). k**r has
+    floor(r * log10(k)) + 1 digits and bounds the class count and every
+    class size, so this check runs before any of them is computed.
+    """
+    _check_k_r(k, r, min_k=1)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    # r is compared with the float bound, never converted, so a huge r cannot overflow
+    if limit and k > 1 and r >= limit / math.log10(k):
+        raise CapacityExceededError(
+            f"k**r for k={k}, r={r} has more than {limit} digits, the int-to-str limit"
+        )
 
 
 def multiset_count(k: int, r: int) -> int:

@@ -4,6 +4,8 @@
 class CodonLabError(Exception):
     """Base class for every error raised by this package."""
 
+    exit_code = 2  # the CLI's exit status for this error
+
 
 class InvalidParamsError(CodonLabError, ValueError):
     """An argument lies outside the documented domain."""
@@ -15,6 +17,8 @@ class UnknownLetterError(InvalidParamsError):
 
 class CapacityExceededError(CodonLabError):
     """An enumeration or simulation would exceed the configured cap."""
+
+    exit_code = 3
 
 
 class TableFormatError(CodonLabError, ValueError):

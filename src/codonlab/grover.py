@@ -43,8 +43,8 @@ def solve_q(n) -> float:
     Analytic inversion q = (pi / (2 asin(1/sqrt(n))) - 1) / 2. Real-valued;
     callers wanting whole queries round the result.
     """
-    if n < 1:
-        raise InvalidParamsError(f"n must be >= 1, got {n}")
+    if not (math.isfinite(n) and n >= 1):
+        raise InvalidParamsError(f"n must be finite and >= 1, got {n}")
     return (math.pi / (2.0 * math.asin(1.0 / math.sqrt(n))) - 1.0) / 2.0
 
 

@@ -6,6 +6,7 @@ E = dp^2 / (2 m), so energies scale exactly as 1/c^2 when the length scale
 is stretched by c.
 """
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import InvalidParamsError
@@ -31,8 +32,8 @@ class PhysicalParams:
     def __post_init__(self):
         for field in fields(self):
             value = getattr(self, field.name)
-            if not value > 0:
-                raise InvalidParamsError(f"{field.name} must be positive, got {value!r}")
+            if not (value > 0 and math.isfinite(value)):
+                raise InvalidParamsError(f"{field.name} must be positive and finite, got {value!r}")
 
 
 def momentum_uncertainty(params: PhysicalParams) -> float:
@@ -72,8 +73,8 @@ def scale_comparison(params: PhysicalParams, scale_factor: float) -> ScaleCompar
     c = 3) rather than a rounded quotient; direct evaluation at the scaled
     length agrees to floating-point rounding.
     """
-    if not scale_factor > 0:
-        raise InvalidParamsError(f"scale_factor must be positive, got {scale_factor!r}")
+    if not (scale_factor > 0 and math.isfinite(scale_factor)):
+        raise InvalidParamsError(f"scale_factor must be positive and finite, got {scale_factor!r}")
     energy_base = fluctuation_energy(params)
     energy_ratio = 1.0 / (scale_factor * scale_factor)
     energy_scaled = energy_base * energy_ratio

@@ -1,9 +1,10 @@
 """Report construction and deterministic rendering (text, JSON, CSV).
 
-Builders assemble plain dicts with stable key order; renderers turn one dict
-into each output format. Floats are rounded to 12 significant digits at
-build time, so every format encodes identical values and repeated runs over
-identical inputs produce byte-identical output.
+Builders assemble plain dicts with stable key order. Each command has two
+layouts: a text document (lines and (headers, rows) tables) and one CSV
+table; one emitter per format turns them into output. Floats are rounded to
+12 significant digits at build time, so every format encodes identical
+values and repeated runs over identical inputs produce byte-identical output.
 """
 
 import csv
@@ -31,15 +32,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _aligned(headers, rows) -> list[str]:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    return lines
+def _text(document) -> str:
+    """Join a document's lines, left-aligning the string cells of each table."""
+    lines = []
+    for block in document:
+        if isinstance(block, str):
+            lines.append(block)
+            continue
+        headers, rows = block
+        widths = [max(map(len, column)) for column in zip(headers, *rows)]
+        template = "  ".join(f"{{:<{width}}}" for width in widths)
+        lines.append(template.format(*headers).rstrip())
+        lines.extend(template.format(*row).rstrip() for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def _csv(headers, rows) -> str:
@@ -61,6 +66,7 @@ def build_count_report(
     cap: int = combinatorics.DEFAULT_CLASS_CAP,
     include_classes: bool = True,
 ) -> dict:
+    combinatorics.check_printable(k, r)
     report = {
         "command": "count",
         "k": k,
@@ -79,32 +85,29 @@ def build_count_report(
     return report
 
 
-def _count_text(report) -> str:
-    lines = [
+def _count_text(report) -> list:
+    document = [
         f"Content-class counting for k={report['k']}, r={report['r']}",
         f"  ordered words (k^r):  {report['arrangements']}",
         f"  content classes:      {report['multiset_count']}",
     ]
-    if "classes" in report:
-        identity = "ok (class sizes sum to k^r)" if report["partition_identity_holds"] else "VIOLATED"
-        lines.append(f"  partition identity:   {identity}")
-        lines.append("")
-        rows = [
-            (c["word"] or "(empty)", ",".join(map(str, c["counts"])), str(c["size"]))
-            for c in report["classes"]
-        ]
-        lines.extend(_aligned(("word", "counts", "size"), rows))
-    else:
-        lines.append("  classes:              skipped")
-    return "\n".join(lines) + "\n"
+    if "classes" not in report:
+        return document + ["  classes:              skipped"]
+    identity = "ok (class sizes sum to k^r)" if report["partition_identity_holds"] else "VIOLATED"
+    rows = [
+        (c["word"] or "(empty)", ",".join(map(str, c["counts"])), str(c["size"]))
+        for c in report["classes"]
+    ]
+    table = (("word", "counts", "size"), rows)
+    return document + [f"  partition identity:   {identity}", "", table]
 
 
-def _count_csv(report) -> str:
+def _count_csv(report) -> tuple:
     rows = [
         (c["word"], ":".join(map(str, c["counts"])), c["size"])
         for c in report.get("classes", [])
     ]
-    return _csv(("word", "counts", "size"), rows)
+    return ("word", "counts", "size"), rows
 
 
 # --- analyze ---------------------------------------------------------------
@@ -112,7 +115,6 @@ def _count_csv(report) -> str:
 
 def build_analyze_report(code: GeneticCode, source: str) -> dict:
     sym = symmetry.partition_classes(code)
-    violations = symmetry.multiset_invariance_violation(code)
     prefixes = symmetry.prefix_significance(code)
 
     profile = Counter(len(r.codons) for r in sym.per_class)
@@ -131,13 +133,8 @@ def build_analyze_report(code: GeneticCode, source: str) -> dict:
             "size_profile": {str(size): profile[size] for size in sorted(profile)},
             "coherent_count": sym.coherent_count,
             "coherent_count_excluding_stop": sym.coherent_count_excluding_stop,
-            "amino_image_size": sym.amino_image_size,
             "bijective_20_to_20": sym.bijective_20_to_20,
             "bijective_20_to_20_excluding_stop": sym.bijective_20_to_20_excluding_stop,
-            "incoherence_pairs": sym.incoherence_pairs,
-            "same_class_pairs": sym.same_class_pairs,
-            "incoherence_pairs_excluding_stop": sym.incoherence_pairs_excluding_stop,
-            "same_class_pairs_excluding_stop": sym.same_class_pairs_excluding_stop,
             "classes": [
                 {
                     "word": r.multiset.canonical_word,
@@ -151,16 +148,15 @@ def build_analyze_report(code: GeneticCode, source: str) -> dict:
             ],
         },
         "violations": {
-            "pairs_total": violations.pairs_total,
-            "pairs_violating": violations.pairs_violating,
-            "fraction": round_sig(violations.fraction),
-            "pairs_total_excluding_stop": violations.pairs_total_excluding_stop,
-            "pairs_violating_excluding_stop": violations.pairs_violating_excluding_stop,
-            "fraction_excluding_stop": round_sig(violations.fraction_excluding_stop),
+            "pairs_total": sym.pairs_total,
+            "pairs_violating": sym.pairs_violating,
+            "fraction": round_sig(sym.fraction),
+            "pairs_total_excluding_stop": sym.pairs_total_excluding_stop,
+            "pairs_violating_excluding_stop": sym.pairs_violating_excluding_stop,
+            "fraction_excluding_stop": round_sig(sym.fraction_excluding_stop),
         },
         "prefix": {
             "fully_degenerate_prefix_count": prefixes.fully_degenerate_prefix_count,
-            "distinct_amino_count_actual": prefixes.distinct_amino_count_actual,
             "full_degeneracy_amino_ceiling": symmetry.FULL_DEGENERACY_AMINO_CEILING,
             "prefixes": [
                 {
@@ -175,14 +171,34 @@ def build_analyze_report(code: GeneticCode, source: str) -> dict:
     }
 
 
-def _analyze_text(report) -> str:
+def _analyze_text(report) -> list:
     code = report["code"]
     sym = report["symmetry"]
     violations = report["violations"]
     prefix = report["prefix"]
     code_id = "-" if code["id"] is None else code["id"]
     profile = ", ".join(f"{n}x size {s}" for s, n in sym["size_profile"].items())
-    lines = [
+    class_rows = [
+        (
+            c["word"],
+            str(c["size"]),
+            ",".join(c["codons"]),
+            ",".join(c["products"]),
+            _fmt(c["coherent"]),
+            _fmt(c["coherent_excluding_stop"]),
+        )
+        for c in sym["classes"]
+    ]
+    prefix_rows = [
+        (
+            e["prefix"],
+            ",".join(e["products"]),
+            ",".join(e["product_set"]),
+            _fmt(e["fully_degenerate"]),
+        )
+        for e in prefix["prefixes"]
+    ]
+    return [
         f"Genetic code: {code['name']} (id {code_id}, {report['source']})",
         f"  sense codons: {code['sense_codon_count']}   stop codons: {code['stop_codon_count']}"
         f"   distinct amino acids: {code['amino_acid_count']}",
@@ -199,41 +215,18 @@ def _analyze_text(report) -> str:
         f"  violation fraction:          {_fmt(violations['fraction'])}"
         f" (excluding stop: {_fmt(violations['fraction_excluding_stop'])})",
         "",
-    ]
-    rows = [
-        (
-            c["word"],
-            str(c["size"]),
-            ",".join(c["codons"]),
-            ",".join(c["products"]),
-            _fmt(c["coherent"]),
-            _fmt(c["coherent_excluding_stop"]),
-        )
-        for c in sym["classes"]
-    ]
-    lines.extend(_aligned(("word", "size", "codons", "products", "coherent", "coherent-excl-stop"), rows))
-    lines += [
+        (("word", "size", "codons", "products", "coherent", "coherent-excl-stop"), class_rows),
         "",
         "Third-base significance (16 two-base prefixes)",
         f"  fully third-base-degenerate prefixes: {prefix['fully_degenerate_prefix_count']}",
-        f"  distinct amino acids (actual):        {prefix['distinct_amino_count_actual']}",
+        f"  distinct amino acids (actual):        {code['amino_acid_count']}",
         f"  ceiling if the third base never mattered: {prefix['full_degeneracy_amino_ceiling']}",
         "",
+        (("prefix", "products(U,C,A,G)", "distinct", "fully-degenerate"), prefix_rows),
     ]
-    rows = [
-        (
-            e["prefix"],
-            ",".join(e["products"]),
-            ",".join(e["product_set"]),
-            _fmt(e["fully_degenerate"]),
-        )
-        for e in prefix["prefixes"]
-    ]
-    lines.extend(_aligned(("prefix", "products(U,C,A,G)", "distinct", "fully-degenerate"), rows))
-    return "\n".join(lines) + "\n"
 
 
-def _analyze_csv(report) -> str:
+def _analyze_csv(report) -> tuple:
     rows = [
         (
             c["word"],
@@ -245,10 +238,7 @@ def _analyze_csv(report) -> str:
         )
         for c in report["symmetry"]["classes"]
     ]
-    return _csv(
-        ("word", "size", "codons", "products", "coherent", "coherent_excluding_stop"),
-        rows,
-    )
+    return ("word", "size", "codons", "products", "coherent", "coherent_excluding_stop"), rows
 
 
 # --- grover ---------------------------------------------------------------
@@ -292,45 +282,43 @@ def build_grover_simulate_report(n: int, q: int, marked: int, *, cap=grover.DEFA
     }
 
 
-def _grover_text(report) -> str:
+def _grover_text(report) -> list:
     mode = report["mode"]
     if mode == "solve-n":
-        lines = [
+        return [
             "Query relation: (2q+1) * asin(1/sqrt(n)) = pi/2",
             f"  q = {report['q']}",
             f"  n = {_fmt(report['n_solved'])}",
         ]
-    elif mode == "solve-q":
-        lines = [
+    if mode == "solve-q":
+        return [
             "Query relation: (2q+1) * asin(1/sqrt(n)) = pi/2",
             f"  n = {_fmt(report['n'])}",
             f"  q = {_fmt(report['q_solved'])} (rounded: {report['q_rounded']})",
         ]
-    else:
-        lines = [
-            f"Search simulation: n = {report['n']}, q = {report['q']}, marked index {report['marked']}",
-            f"  final marked probability: {_fmt(report['final_marked_probability'])}",
-            f"  closed-form probability:  {_fmt(report['closed_form_probability'])}",
-            f"  |difference|:             {_fmt(report['difference'])}",
-            f"  max norm drift:           {_fmt(report['max_norm_drift'])}",
-            "",
-        ]
-        rows = [(str(i), _fmt(p)) for i, p in enumerate(report["trace"])]
-        lines.extend(_aligned(("iteration", "marked_probability"), rows))
-    return "\n".join(lines) + "\n"
+    rows = [(str(i), f"{p:.{SIGNIFICANT_DIGITS}g}") for i, p in enumerate(report["trace"])]
+    return [
+        f"Search simulation: n = {report['n']}, q = {report['q']}, marked index {report['marked']}",
+        f"  final marked probability: {_fmt(report['final_marked_probability'])}",
+        f"  closed-form probability:  {_fmt(report['closed_form_probability'])}",
+        f"  |difference|:             {_fmt(report['difference'])}",
+        f"  max norm drift:           {_fmt(report['max_norm_drift'])}",
+        "",
+        (("iteration", "marked_probability"), rows),
+    ]
 
 
-def _grover_csv(report) -> str:
+def _grover_csv(report) -> tuple:
     mode = report["mode"]
     if mode == "solve-n":
-        return _csv(("q", "n_solved"), [(report["q"], _fmt(report["n_solved"]))])
+        return ("q", "n_solved"), [(report["q"], _fmt(report["n_solved"]))]
     if mode == "solve-q":
-        return _csv(
+        return (
             ("n", "q_solved", "q_rounded"),
             [(_fmt(report["n"]), _fmt(report["q_solved"]), report["q_rounded"])],
         )
-    rows = [(i, _fmt(p)) for i, p in enumerate(report["trace"])]
-    return _csv(("iteration", "marked_probability"), rows)
+    rows = [(i, f"{p:.{SIGNIFICANT_DIGITS}g}") for i, p in enumerate(report["trace"])]
+    return ("iteration", "marked_probability"), rows
 
 
 # --- energy ---------------------------------------------------------------
@@ -360,26 +348,24 @@ def build_energy_report(params: physics.PhysicalParams, scale_factor: float) -> 
     }
 
 
-def _energy_text(report) -> str:
+def _energy_text(report) -> list:
     p = report["params"]
     s = report["scale"]
-    return "\n".join(
-        [
-            "Uncertainty-relation energy estimate (CGS)",
-            f"  hbar = {_fmt(p['hbar'])} erg*s, delta_x = {_fmt(p['delta_x'])} cm,"
-            f" mass = {_fmt(p['mass'])} g",
-            f"  momentum uncertainty:  {_fmt(report['momentum_uncertainty'])} g*cm/s",
-            f"  fluctuation energy:    {_fmt(report['fluctuation_energy_erg'])} erg"
-            f" ({_fmt(report['fluctuation_energy_ev'])} eV)",
-            f"  hydrogen-bond energy:  {_fmt(p['hbond_energy'])} erg",
-            f"  energy / h-bond:       {_fmt(report['hbond_ratio'])}",
-            f"  at {_fmt(s['factor'])} * delta_x: {_fmt(s['energy_scaled_erg'])} erg,"
-            f" ratio {_fmt(s['energy_ratio'])}, / h-bond {_fmt(s['scaled_to_hbond'])}",
-        ]
-    ) + "\n"
+    return [
+        "Uncertainty-relation energy estimate (CGS)",
+        f"  hbar = {_fmt(p['hbar'])} erg*s, delta_x = {_fmt(p['delta_x'])} cm,"
+        f" mass = {_fmt(p['mass'])} g",
+        f"  momentum uncertainty:  {_fmt(report['momentum_uncertainty'])} g*cm/s",
+        f"  fluctuation energy:    {_fmt(report['fluctuation_energy_erg'])} erg"
+        f" ({_fmt(report['fluctuation_energy_ev'])} eV)",
+        f"  hydrogen-bond energy:  {_fmt(p['hbond_energy'])} erg",
+        f"  energy / h-bond:       {_fmt(report['hbond_ratio'])}",
+        f"  at {_fmt(s['factor'])} * delta_x: {_fmt(s['energy_scaled_erg'])} erg,"
+        f" ratio {_fmt(s['energy_ratio'])}, / h-bond {_fmt(s['scaled_to_hbond'])}",
+    ]
 
 
-def _energy_csv(report) -> str:
+def _energy_csv(report) -> tuple:
     p = report["params"]
     s = report["scale"]
     rows = [
@@ -396,23 +382,17 @@ def _energy_csv(report) -> str:
         ("energy_ratio", _fmt(s["energy_ratio"])),
         ("scaled_to_hbond", _fmt(s["scaled_to_hbond"])),
     ]
-    return _csv(("quantity", "value"), rows)
+    return ("quantity", "value"), rows
 
 
 # --- dispatch ---------------------------------------------------------------
 
-_TEXT_RENDERERS = {
-    "count": _count_text,
-    "analyze": _analyze_text,
-    "grover": _grover_text,
-    "energy": _energy_text,
-}
-
-_CSV_RENDERERS = {
-    "count": _count_csv,
-    "analyze": _analyze_csv,
-    "grover": _grover_csv,
-    "energy": _energy_csv,
+# command -> (text document layout, CSV table layout)
+_LAYOUTS = {
+    "count": (_count_text, _count_csv),
+    "analyze": (_analyze_text, _analyze_csv),
+    "grover": (_grover_text, _grover_csv),
+    "energy": (_energy_text, _energy_csv),
 }
 
 
@@ -420,8 +400,9 @@ def render(report: dict, fmt: str = "text") -> str:
     """Render a built report in one of the three formats."""
     if fmt == "json":
         return json.dumps(report, indent=2) + "\n"
+    text_layout, csv_layout = _LAYOUTS[report["command"]]
     if fmt == "text":
-        return _TEXT_RENDERERS[report["command"]](report)
+        return _text(text_layout(report))
     if fmt == "csv":
-        return _CSV_RENDERERS[report["command"]](report)
+        return _csv(*csv_layout(report))
     raise InvalidParamsError(f"format must be text, json or csv, got {fmt!r}")

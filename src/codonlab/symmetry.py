@@ -35,17 +35,30 @@ class ClassReport:
 
 @dataclass(frozen=True)
 class SymmetryReport:
-    code_name: str
+    """A code's coherence over the 20 content classes.
+
+    The pair counts cover unordered same-class codon pairs; a pair violates
+    when its two products differ.
+    """
+
     per_class: tuple[ClassReport, ...]
     coherent_count: int
     coherent_count_excluding_stop: int
-    amino_image_size: int
     bijective_20_to_20: bool
     bijective_20_to_20_excluding_stop: bool
-    incoherence_pairs: int
-    incoherence_pairs_excluding_stop: int
-    same_class_pairs: int
-    same_class_pairs_excluding_stop: int
+    pairs_total: int
+    pairs_violating: int
+    pairs_total_excluding_stop: int
+    pairs_violating_excluding_stop: int
+
+    @property
+    def fraction(self) -> float:
+        return self.pairs_violating / self.pairs_total
+
+    @property
+    def fraction_excluding_stop(self) -> float:
+        pairs = self.pairs_total_excluding_stop
+        return self.pairs_violating_excluding_stop / pairs if pairs else 0.0
 
 
 @dataclass(frozen=True)
@@ -60,19 +73,6 @@ class PrefixEntry:
 class PrefixReport:
     per_prefix: tuple[PrefixEntry, ...]
     fully_degenerate_prefix_count: int
-    distinct_amino_count_actual: int
-
-
-@dataclass(frozen=True)
-class ViolationMetrics:
-    """Same-class codon pairs whose products differ."""
-
-    pairs_total: int
-    pairs_violating: int
-    fraction: float
-    pairs_total_excluding_stop: int
-    pairs_violating_excluding_stop: int
-    fraction_excluding_stop: float
 
 
 @lru_cache(maxsize=1)
@@ -139,40 +139,27 @@ def partition_classes(code: GeneticCode) -> SymmetryReport:
     pairs_violating_excl = sum(_differing_pairs(p) for p in non_stop_products)
 
     return SymmetryReport(
-        code_name=code.name,
         per_class=tuple(class_reports),
         coherent_count=coherent_count,
         coherent_count_excluding_stop=coherent_count_excl,
-        amino_image_size=len(code.amino_acid_image),
         bijective_20_to_20=bijective,
         bijective_20_to_20_excluding_stop=bijective_excl,
-        incoherence_pairs=pairs_violating,
-        incoherence_pairs_excluding_stop=pairs_violating_excl,
-        same_class_pairs=pairs_total,
-        same_class_pairs_excluding_stop=pairs_total_excl,
+        pairs_total=pairs_total,
+        pairs_violating=pairs_violating,
+        pairs_total_excluding_stop=pairs_total_excl,
+        pairs_violating_excluding_stop=pairs_violating_excl,
     )
 
 
-def multiset_invariance_violation(code: GeneticCode) -> ViolationMetrics:
+def multiset_invariance_violation(code: GeneticCode) -> SymmetryReport:
     """Count unordered same-class codon pairs whose products differ.
 
     Zero violations (in the stop-as-symbol convention) holds exactly when
     every class is coherent, i.e. the code only depends on base content.
+    This is the partition_classes report: its pair counts and fraction
+    properties are the violation metrics.
     """
-    report = partition_classes(code)
-    fraction = report.incoherence_pairs / report.same_class_pairs
-    pairs_excl = report.same_class_pairs_excluding_stop
-    fraction_excl = (
-        report.incoherence_pairs_excluding_stop / pairs_excl if pairs_excl else 0.0
-    )
-    return ViolationMetrics(
-        pairs_total=report.same_class_pairs,
-        pairs_violating=report.incoherence_pairs,
-        fraction=fraction,
-        pairs_total_excluding_stop=pairs_excl,
-        pairs_violating_excluding_stop=report.incoherence_pairs_excluding_stop,
-        fraction_excluding_stop=fraction_excl,
-    )
+    return partition_classes(code)
 
 
 PREFIXES = tuple(b1 + b2 for b1 in INDEX_BASE_ORDER for b2 in INDEX_BASE_ORDER)
@@ -192,7 +179,6 @@ def prefix_significance(code: GeneticCode) -> PrefixReport:
     return PrefixReport(
         per_prefix=tuple(entries),
         fully_degenerate_prefix_count=sum(e.fully_degenerate for e in entries),
-        distinct_amino_count_actual=len(code.amino_acid_image),
     )
 
 

@@ -78,8 +78,9 @@ def test_success_probability_near_one_at_the_solved_q():
 def test_closed_form_domain_errors():
     with pytest.raises(InvalidParamsError):
         solve_n(-1)
-    with pytest.raises(InvalidParamsError):
-        solve_q(0.5)
+    for bad_n in (0.5, math.nan, math.inf):
+        with pytest.raises(InvalidParamsError):
+            solve_q(bad_n)
     for bad_args in [(1, 1), (4.0, 1), (4, -1), (4, 1.5), (True, 1)]:
         with pytest.raises(InvalidParamsError):
             success_probability(*bad_args)

@@ -92,7 +92,7 @@ def test_scale_comparison_hbond_ratios():
 
 
 def test_scale_factor_must_be_positive():
-    for bad in (0.0, -1.0, math.nan):
+    for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(InvalidParamsError):
             scale_comparison(PhysicalParams(), bad)
 
@@ -101,7 +101,7 @@ def test_scale_factor_must_be_positive():
 
 
 @pytest.mark.parametrize("field", ["hbar", "delta_x", "mass", "hbond_energy"])
-@pytest.mark.parametrize("value", [0.0, -1e-20, math.nan])
+@pytest.mark.parametrize("value", [0.0, -1e-20, math.nan, math.inf])
 def test_params_must_be_positive(field, value):
     with pytest.raises(InvalidParamsError):
         PhysicalParams(**{field: value})

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from codonlab import PhysicalParams, builtin_standard_code, solve_n
+from codonlab import PhysicalParams, builtin_standard_code, solve_n, symmetry
 from codonlab.cli import main
 from codonlab.genetic_code import STANDARD_TABLE_TEXT
 from codonlab.reports import (
@@ -23,6 +23,15 @@ from codonlab.reports import (
     round_sig,
 )
 from codonlab.errors import InvalidParamsError
+
+
+def strict_json(text):
+    """json.loads that refuses the non-RFC-8259 constants NaN and Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def run_cli(*argv):
@@ -93,6 +102,23 @@ def test_count_capacity_exit_code():
     assert "error:" in err
 
 
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="this interpreter prints integers of any length",
+)
+def test_count_refuses_results_past_the_int_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    for fmt in ("text", "json"):
+        # 10**limit has limit + 1 digits, one more than str() may print
+        code, out, err = run_cli("count", "--k", "10", "--r", str(limit), "--skip-classes",
+                                 "--format", fmt)
+        assert code == 3 and out == ""
+        assert "error:" in err
+        code, out, _ = run_cli("count", "--k", "10", "--r", str(limit - 1), "--skip-classes",
+                               "--format", fmt)
+        assert code == 0 and str(10 ** (limit - 1)) in out
+
+
 def test_count_missing_and_invalid_params():
     assert run_cli("count", "--k", "4")[0] == 2
     assert run_cli("count", "--k", "-1", "--r", "3")[0] == 2
@@ -112,6 +138,19 @@ def test_analyze_builtin_json_matches_builder():
     assert report["code"]["stop_codon_count"] == 3
     assert report["code"]["amino_acid_count"] == 20
     assert report["symmetry"]["size_profile"] == {"1": 4, "3": 12, "6": 4}
+
+
+def test_analyze_partitions_the_code_once(monkeypatch):
+    calls = []
+    partition = symmetry.partition_classes
+
+    def counted(code):
+        calls.append(code)
+        return partition(code)
+
+    monkeypatch.setattr(symmetry, "partition_classes", counted)
+    build_analyze_report(builtin_standard_code(), "builtin:standard")
+    assert len(calls) == 1
 
 
 def test_analyze_requires_exactly_one_source(tmp_path):
@@ -239,6 +278,31 @@ def test_energy_rejects_nonpositive_length():
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "command",
+    ["grover solve-q --n", "energy --hbar", "energy --delta-x", "energy --mass",
+     "energy --hbond", "energy --scale"],
+)
+def test_non_finite_floats_exit_2(command, value):
+    *words, flag = command.split()
+    code, out, err = run_cli(*words, f"{flag}={value}", "--format", "json")
+    assert code == 2 and out == ""
+    assert "finite" in err
+
+
+def test_json_reports_are_strict_rfc_8259():
+    for argv in (
+        ("energy", "--hbar", "1e-20", "--delta-x", "1e-3", "--scale", "1e6"),
+        ("grover", "solve-q", "--n", "1"),
+        ("grover", "solve-q", "--n", "1e300"),
+        ("analyze", "--random-seed", "3"),
+    ):
+        code, out, _ = run_cli(*argv, "--format", "json")
+        assert code == 0
+        strict_json(out)
+
+
 def test_energy_csv_is_key_value_rows():
     code, out, _ = run_cli("energy", "--format", "csv")
     assert code == 0
@@ -279,6 +343,37 @@ def test_unreadable_or_malformed_config(tmp_path):
     assert run_cli("count", "--k", "2", "--r", "2", "--config", str(listy))[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (("count",), {"k": "abc", "r": 2}),
+        (("count", "--k", "2"), {"r": [2]}),
+        (("count", "--k", "2", "--r", "2"), {"cap": "1e9"}),
+        (("grover", "solve-q"), {"n": "many"}),
+        (("grover", "simulate", "--n", "4"), {"q": 2, "marked": {}}),
+        (("grover", "simulate", "--n", "4", "--q", "1"), {"marked": 1e400}),
+        (("energy",), {"hbar": "tiny"}),
+        (("analyze",), {"random_seed": "x"}),
+    ],
+)
+def test_non_numeric_config_values_exit_2(tmp_path, argv, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(*argv, "--config", str(path))
+    assert code == 2 and out == ""
+    assert "error:" in err
+
+
+def test_config_accepts_numbers_and_numeric_strings(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": "123.456", "format": "json"}))
+    code, out, _ = run_cli("grover", "solve-q", "--config", str(path))
+    assert code == 0 and json.loads(out)["n"] == 123.456
+    path.write_text(json.dumps({"k": 3, "r": "2", "hbar": 1.05e-27, "format": "json"}))
+    assert json.loads(run_cli("count", "--config", str(path))[1])["arrangements"] == 9
+    assert json.loads(run_cli("energy", "--config", str(path))[1])["params"]["hbar"] == 1.05e-27
+
+
 def test_config_cannot_smuggle_bad_format(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"format": "xml"}))
@@ -294,6 +389,14 @@ def test_output_file_matches_stdout(tmp_path):
     )
     assert code == 0 and out == ""
     assert target.read_text(encoding="utf-8") == stdout
+
+
+def test_unwritable_output_path_exits_2(tmp_path):
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run_cli("count", "--k", "2", "--r", "2", "--output", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write output file")
+    assert not target.exists()
 
 
 def test_invalid_format_flag():

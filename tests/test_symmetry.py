@@ -103,7 +103,7 @@ def test_standard_code_agu_class():
 
 def test_standard_code_is_not_20_to_20():
     report = partition_classes(builtin_standard_code())
-    assert report.amino_image_size == 20
+    assert len(builtin_standard_code().amino_acid_image) == 20
     assert not report.bijective_20_to_20
     assert not report.bijective_20_to_20_excluding_stop
 
@@ -112,8 +112,8 @@ def test_pair_counts_match_oracle():
     code = builtin_standard_code()
     total, differing = oracle_violations(code)
     report = partition_classes(code)
-    assert report.same_class_pairs == total == 96
-    assert report.incoherence_pairs == differing
+    assert report.pairs_total == total == 96
+    assert report.pairs_violating == differing
     # 12 classes of 3 plus 4 classes of 6
     assert total == 12 * 3 + 4 * 15
 
@@ -136,8 +136,8 @@ def test_excluding_stop_drops_stop_codons_only():
         for a, b in itertools.combinations(sense, 2):
             total += 1
             violating += code.translate(a) != code.translate(b)
-    assert report.same_class_pairs_excluding_stop == total
-    assert report.incoherence_pairs_excluding_stop == violating
+    assert report.pairs_total_excluding_stop == total
+    assert report.pairs_violating_excluding_stop == violating
 
 
 # --- synthetic codes ----------------------------------------------------------
@@ -223,9 +223,9 @@ def test_degenerate_prefix_count_matches_oracle():
 
 
 def test_actual_amino_count_exceeds_the_degeneracy_ceiling():
-    report = prefix_significance(builtin_standard_code())
-    assert report.distinct_amino_count_actual == 20
-    assert report.distinct_amino_count_actual > FULL_DEGENERACY_AMINO_CEILING == 16
+    code = builtin_standard_code()
+    assert len(code.amino_acid_image) == 20
+    assert len(code.amino_acid_image) > FULL_DEGENERACY_AMINO_CEILING == 16
 
 
 def test_prefix_determined_code_stays_under_the_ceiling():
@@ -236,7 +236,7 @@ def test_prefix_determined_code_stays_under_the_ceiling():
     code = GeneticCode(name="prefix-only", id=None, aas=aas)
     report = prefix_significance(code)
     assert report.fully_degenerate_prefix_count == 16
-    assert report.distinct_amino_count_actual <= FULL_DEGENERACY_AMINO_CEILING
+    assert len(code.amino_acid_image) <= FULL_DEGENERACY_AMINO_CEILING
 
 
 # --- determinism ----------------------------------------------------------------
