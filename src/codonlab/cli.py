@@ -68,12 +68,12 @@ def build_parser() -> argparse.ArgumentParser:
     g = gsub.add_parser("solve-q", help="query count needed for database size n")
     g.add_argument("--n", type=float, default=None, help="database size (real, >= 1)")
     _add_common(g)
-    g = gsub.add_parser("simulate", help="state-vector simulation of the search")
+    g = gsub.add_parser("simulate", help="exact two-amplitude simulation of the search")
     g.add_argument("--n", type=int, default=None, help="database size (integer, >= 2)")
     g.add_argument("--q", type=int, default=None, help="iterations to apply")
     g.add_argument("--marked", type=int, default=None, help="marked index (default 0)")
     g.add_argument("--cap", type=int, default=None,
-                   help=f"simulation size cap (default {DEFAULT_SIM_CAP})")
+                   help=f"simulation cap on both n and q (default {DEFAULT_SIM_CAP})")
     _add_common(g)
 
     p = sub.add_parser("energy", help="uncertainty momentum/energy estimates (CGS)")
@@ -109,9 +109,16 @@ def _config_getter(args, parser):
 
 
 def _number(value, kind, name):
-    """Convert an option value, from a flag or a config file, with int or float."""
+    """Convert an option value, from a flag or a config file, with int or float.
+
+    An int option takes a float only when it is integral: 3.0 is 3, 3.7 is
+    refused rather than truncated.
+    """
     try:
-        return kind(value)
+        number = kind(value)
+        if kind is int and isinstance(value, float) and number != value:
+            raise ValueError
+        return number
     except (TypeError, ValueError, OverflowError):
         noun = "an integer" if kind is int else "a number"
         raise InvalidParamsError(f"{name} must be {noun}, got {value!r}") from None

@@ -2,15 +2,16 @@
 
 The closed-form side inverts (2q+1) * asin(1/sqrt(n)) = pi/2 for either
 variable; the simulator runs the actual iteration (sign flip on the marked
-index, then inversion about the mean) on a real-valued state vector and is
-used to validate the closed forms. Amplitudes stay real throughout: the
-oracle and diffusion steps never introduce complex phases.
+index, then inversion about the mean) and is used to validate the closed
+forms. With one marked item and a uniform start, every unmarked amplitude
+stays equal to every other, so the simulator carries the exact state as two
+real amplitudes, the marked one and the one shared by the n - 1 others, in
+O(1) memory and O(q) time. Amplitudes stay real throughout: the oracle and
+diffusion steps never introduce complex phases.
 """
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import CapacityExceededError, InvalidParamsError
 
@@ -33,8 +34,14 @@ def solve_n(q) -> float:
     """
     if q < 0:
         raise InvalidParamsError(f"q must be >= 0, got {q}")
-    s = math.sin(math.pi / (2.0 * (2.0 * q + 1.0)))
-    return 1.0 / (s * s)
+    try:
+        s = math.sin(math.pi / (2.0 * (2.0 * float(q) + 1.0)))
+    except OverflowError:
+        raise InvalidParamsError("q is too large for a float") from None
+    n = 1.0 / (s * s) if s * s else math.inf
+    if not math.isfinite(n):
+        raise InvalidParamsError(f"q={float(q):.6g} gives no finite database size")
+    return n
 
 
 def solve_q(n) -> float:
@@ -66,14 +73,17 @@ class GroverRun:
 
     `probability_trace[i]` is the marked-item probability after i iterations
     (entry 0 is the uniform start), so it has iterations_applied + 1 entries.
-    `max_norm_drift` is the largest deviation of the state's L2 norm from 1
-    observed at any step.
+    `marked_amplitude` is the final amplitude of the marked item and
+    `unmarked_amplitude` the final amplitude each of the other n - 1 items
+    shares. `max_norm_drift` is the largest deviation of the state's L2 norm
+    from 1 observed at any step.
     """
 
     n: int
     marked: int
     iterations_applied: int
-    amplitudes: np.ndarray
+    marked_amplitude: float
+    unmarked_amplitude: float
     probability_trace: tuple[float, ...]
     max_norm_drift: float
 
@@ -81,31 +91,37 @@ class GroverRun:
 def simulate(n: int, q: int, marked: int = 0, *, cap: int = DEFAULT_SIM_CAP) -> GroverRun:
     """Run q iterations of sign-flip + inversion-about-mean on n amplitudes.
 
-    Starts from the uniform vector 1/sqrt(n). The final marked amplitude
-    squared matches success_probability(n, q) to ~1e-10 and the norm stays
-    within ~1e-12 of 1 throughout.
+    Starts from the uniform state 1/sqrt(n). Both n and q are bounded by
+    `cap`. The final marked amplitude squared matches success_probability(n, q)
+    to ~1e-10 and the norm stays within ~1e-12 of 1 throughout. `marked`
+    only names the item: the state, and so the trace, do not depend on it.
     """
     _check_int(n, "n", 2)
     if n > cap:
         raise CapacityExceededError(f"n={n} exceeds the simulation cap of {cap}")
     _check_int(q, "q", 0)
+    if q > cap:
+        raise CapacityExceededError(f"q={q} exceeds the simulation cap of {cap}")
     _check_int(marked, "marked", 0)
     if marked >= n:
         raise InvalidParamsError(f"marked must be < n={n}, got {marked}")
 
-    amplitudes = np.full(n, 1.0 / math.sqrt(n))
-    trace = [float(amplitudes[marked]) ** 2]
-    drift = abs(float(np.linalg.norm(amplitudes)) - 1.0)
+    others = n - 1
+    a = b = 1.0 / math.sqrt(n)
+    trace = [a * a]
+    drift = abs(math.sqrt(a * a + others * b * b) - 1.0)
     for _ in range(q):
-        amplitudes[marked] = -amplitudes[marked]
-        amplitudes = 2.0 * amplitudes.mean() - amplitudes
-        drift = max(drift, abs(float(np.linalg.norm(amplitudes)) - 1.0))
-        trace.append(float(amplitudes[marked]) ** 2)
+        a = -a
+        mean = (a + others * b) / n
+        a, b = 2.0 * mean - a, 2.0 * mean - b
+        drift = max(drift, abs(math.sqrt(a * a + others * b * b) - 1.0))
+        trace.append(a * a)
     return GroverRun(
         n=n,
         marked=marked,
         iterations_applied=q,
-        amplitudes=amplitudes,
+        marked_amplitude=a,
+        unmarked_amplitude=b,
         probability_trace=tuple(trace),
         max_norm_drift=drift,
     )

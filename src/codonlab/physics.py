@@ -3,7 +3,8 @@
 All arithmetic is in CGS units (erg, cm, g); conversions to SI and eV exist
 for display only. The pipeline is dp = hbar / dx followed by
 E = dp^2 / (2 m), so energies scale exactly as 1/c^2 when the length scale
-is stretched by c.
+is stretched by c. Finite inputs can still overflow: every result is checked
+and an infinite one raises InvalidParamsError.
 """
 
 import math
@@ -13,6 +14,13 @@ from .errors import InvalidParamsError
 
 ERG_PER_JOULE = 1e7
 ERG_PER_EV = 1.602176634e-12  # elementary charge in CGS-consistent erg/eV
+
+
+def _finite(value: float, name: str) -> float:
+    """Return value, or raise when the arithmetic that formed it overflowed."""
+    if not math.isfinite(value):
+        raise InvalidParamsError(f"{name} overflows the float range for these inputs")
+    return value
 
 
 @dataclass(frozen=True)
@@ -38,14 +46,14 @@ class PhysicalParams:
 
 def momentum_uncertainty(params: PhysicalParams) -> float:
     """Momentum spread hbar / delta_x forced by confinement (g*cm/s)."""
-    return params.hbar / params.delta_x
+    return _finite(params.hbar / params.delta_x, "momentum_uncertainty")
 
 
 def kinetic_energy(dp: float, mass: float) -> float:
     """Kinetic energy dp^2 / (2 m) carried by a momentum spread dp (erg)."""
     if not mass > 0:
         raise InvalidParamsError(f"mass must be positive, got {mass!r}")
-    return dp * dp / (2.0 * mass)
+    return _finite(dp * dp / (2.0 * mass), "kinetic_energy")
 
 
 def fluctuation_energy(params: PhysicalParams) -> float:
@@ -64,6 +72,10 @@ class ScaleComparison:
     base_to_hbond: float
     scaled_to_hbond: float
 
+    def __post_init__(self):
+        for field in fields(self):
+            _finite(getattr(self, field.name), field.name)
+
 
 def scale_comparison(params: PhysicalParams, scale_factor: float) -> ScaleComparison:
     """Compare the energy at delta_x against the one at scale_factor * delta_x.
@@ -76,7 +88,8 @@ def scale_comparison(params: PhysicalParams, scale_factor: float) -> ScaleCompar
     if not (scale_factor > 0 and math.isfinite(scale_factor)):
         raise InvalidParamsError(f"scale_factor must be positive and finite, got {scale_factor!r}")
     energy_base = fluctuation_energy(params)
-    energy_ratio = 1.0 / (scale_factor * scale_factor)
+    square = scale_factor * scale_factor
+    energy_ratio = 1.0 / square if square else math.inf
     energy_scaled = energy_base * energy_ratio
     return ScaleComparison(
         scale_factor=scale_factor,
@@ -93,4 +106,4 @@ def erg_to_joule(energy: float) -> float:
 
 
 def erg_to_ev(energy: float) -> float:
-    return energy / ERG_PER_EV
+    return _finite(energy / ERG_PER_EV, "energy in eV")

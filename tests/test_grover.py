@@ -1,14 +1,19 @@
-"""Query-count closed forms cross-checked against the state-vector simulator.
+"""Query-count closed forms cross-checked against the search simulator.
 
 The two sides are independent implementations of the same process, so
 their agreement over a dense grid is the main correctness argument; the
-identity (2q+1) * asin(1/sqrt(n)) = pi/2 is verified directly as well.
+identity (2q+1) * asin(1/sqrt(n)) = pi/2 is verified directly as well. The
+two-amplitude simulator is also compared, amplitude by amplitude, with a
+full-vector oracle (`grover_oracle.simulate_vector`).
 """
 
 import math
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from grover_oracle import simulate_vector
 
 from codonlab import (
     CapacityExceededError,
@@ -76,8 +81,9 @@ def test_success_probability_near_one_at_the_solved_q():
 
 
 def test_closed_form_domain_errors():
-    with pytest.raises(InvalidParamsError):
-        solve_n(-1)
+    for bad_q in (-1, 10**309, 10**160, math.inf, math.nan):
+        with pytest.raises(InvalidParamsError):
+            solve_n(bad_q)
     for bad_n in (0.5, math.nan, math.inf):
         with pytest.raises(InvalidParamsError):
             solve_q(bad_n)
@@ -100,9 +106,8 @@ def test_simulation_agrees_with_closed_form_on_a_grid():
 def test_four_item_search_is_exact_after_one_iteration():
     for marked in range(4):
         run = simulate(4, 1, marked)
-        expected = np.zeros(4)
-        expected[marked] = 1.0
-        assert np.array_equal(run.amplitudes, expected)
+        assert run.marked_amplitude == 1.0
+        assert run.unmarked_amplitude == 0.0
         assert run.probability_trace == (0.25, 1.0)
         assert run.max_norm_drift == 0.0
 
@@ -113,7 +118,8 @@ def test_run_record_shape():
     assert run.marked == 7
     assert run.iterations_applied == 3
     assert len(run.probability_trace) == 4
-    assert run.amplitudes.shape == (10,)
+    assert run.marked_amplitude ** 2 == run.probability_trace[-1]
+    assert not hasattr(run, "amplitudes")
     assert run.probability_trace[0] == pytest.approx(0.1, abs=1e-15)
 
 
@@ -141,8 +147,10 @@ def test_overrotation_reduces_the_probability():
 
 def test_amplitudes_stay_real_and_normalized():
     run = simulate(50, 10)
-    assert run.amplitudes.dtype == np.float64
-    assert np.linalg.norm(run.amplitudes) == pytest.approx(1.0, abs=1e-12)
+    assert type(run.marked_amplitude) is float
+    assert type(run.unmarked_amplitude) is float
+    norm = math.sqrt(run.marked_amplitude ** 2 + 49 * run.unmarked_amplitude ** 2)
+    assert norm == pytest.approx(1.0, abs=1e-12)
 
 
 def test_simulator_domain_errors():
@@ -157,3 +165,28 @@ def test_simulator_capacity():
     with pytest.raises(CapacityExceededError):
         simulate(1024, 1, cap=1000)
     assert simulate(100, 1, cap=100).n == 100
+    # the cap bounds q, the length of the trace, as well
+    with pytest.raises(CapacityExceededError):
+        simulate(4, 2**20 + 1)
+    with pytest.raises(CapacityExceededError):
+        simulate(4, 1001, cap=1000)
+    assert simulate(4, 1000, cap=1000).iterations_applied == 1000
+
+
+@st.composite
+def _runs(draw):
+    n = draw(st.integers(min_value=2, max_value=300))
+    return n, draw(st.integers(min_value=0, max_value=60)), draw(st.integers(0, n - 1))
+
+
+@given(_runs())
+@settings(max_examples=100, deadline=None)
+def test_two_amplitude_simulator_matches_the_full_vector_oracle(args):
+    n, q, marked = args
+    amplitudes, trace = simulate_vector(n, q, marked)
+    run = simulate(n, q, marked)
+    assert len(run.probability_trace) == len(trace)
+    assert all(abs(a - b) <= 1e-12 for a, b in zip(run.probability_trace, trace))
+    assert abs(run.marked_amplitude - amplitudes[marked]) <= 1e-12
+    others = [float(x) for i, x in enumerate(amplitudes) if i != marked]
+    assert all(abs(run.unmarked_amplitude - x) <= 1e-12 for x in others)

@@ -107,6 +107,19 @@ def test_params_must_be_positive(field, value):
         PhysicalParams(**{field: value})
 
 
+def test_overflowing_results_are_rejected():
+    with pytest.raises(InvalidParamsError):
+        momentum_uncertainty(PhysicalParams(hbar=1e300, delta_x=1e-300))
+    with pytest.raises(InvalidParamsError):
+        kinetic_energy(1e200, 1.0)
+    with pytest.raises(InvalidParamsError):
+        scale_comparison(PhysicalParams(), 1e-200)
+    with pytest.raises(InvalidParamsError):
+        scale_comparison(PhysicalParams(hbar=1e-10, hbond_energy=1e-300), 1.0)
+    with pytest.raises(InvalidParamsError):
+        erg_to_ev(1e300)
+
+
 def test_kinetic_energy_rejects_bad_mass():
     with pytest.raises(InvalidParamsError):
         kinetic_energy(1e-20, 0.0)

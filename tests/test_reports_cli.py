@@ -256,6 +256,10 @@ def test_grover_error_paths():
         "grover", "simulate", "--n", "2048", "--q", "1", "--cap", "1000"
     )
     assert code == 3 and out == ""
+    for q, cap in (("1001", ["--cap", "1000"]), (str(2**20 + 1), [])):
+        code, out, err = run_cli("grover", "simulate", "--n", "4", "--q", q, *cap)
+        assert code == 3 and out == ""
+        assert f"q={q} exceeds the simulation cap" in err
 
 
 # --- energy ----------------------------------------------------------------
@@ -291,9 +295,28 @@ def test_non_finite_floats_exit_2(command, value):
     assert "finite" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("energy", "--hbar", "1e300", "--delta-x", "1e-300"),  # momentum
+        ("energy", "--hbar", "1e200", "--delta-x", "1e-10"),  # kinetic energy
+        ("energy", "--scale", "1e-200"),  # scaled energy
+        ("energy", "--hbar", "1e-10", "--delta-x", "1e-150", "--hbond", "1e10"),  # eV
+        ("grover", "solve-n", "--q", "1" + "0" * 309),  # q does not fit a float
+        ("grover", "solve-n", "--q", "1" + "0" * 160),  # n overflows
+    ],
+)
+def test_overflowing_results_exit_2(argv):
+    code, out, err = run_cli(*argv, "--format", "json")
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 def test_json_reports_are_strict_rfc_8259():
     for argv in (
         ("energy", "--hbar", "1e-20", "--delta-x", "1e-3", "--scale", "1e6"),
+        ("energy", "--delta-x", "1e-150"),
+        ("grover", "solve-n", "--q", "1" + "0" * 150),
         ("grover", "solve-q", "--n", "1"),
         ("grover", "solve-q", "--n", "1e300"),
         ("analyze", "--random-seed", "3"),
@@ -351,6 +374,7 @@ def test_unreadable_or_malformed_config(tmp_path):
         (("count", "--k", "2", "--r", "2"), {"cap": "1e9"}),
         (("grover", "solve-q"), {"n": "many"}),
         (("grover", "simulate", "--n", "4"), {"q": 2, "marked": {}}),
+        (("grover", "simulate", "--n", "4"), {"q": 3.7}),
         (("grover", "simulate", "--n", "4", "--q", "1"), {"marked": 1e400}),
         (("energy",), {"hbar": "tiny"}),
         (("analyze",), {"random_seed": "x"}),
@@ -372,6 +396,8 @@ def test_config_accepts_numbers_and_numeric_strings(tmp_path):
     path.write_text(json.dumps({"k": 3, "r": "2", "hbar": 1.05e-27, "format": "json"}))
     assert json.loads(run_cli("count", "--config", str(path))[1])["arrangements"] == 9
     assert json.loads(run_cli("energy", "--config", str(path))[1])["params"]["hbar"] == 1.05e-27
+    path.write_text(json.dumps({"q": 3.0, "format": "json"}))
+    assert json.loads(run_cli("grover", "solve-n", "--config", str(path))[1])["q"] == 3
 
 
 def test_config_cannot_smuggle_bad_format(tmp_path):
@@ -449,6 +475,11 @@ def test_subprocess_runs_are_byte_identical():
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.decode() == run_cli(*args)[1]
+
+
+def test_import_loads_no_numpy():
+    check = "import codonlab, sys; assert 'numpy' not in sys.modules"
+    assert subprocess.run([sys.executable, "-c", check], timeout=60).returncode == 0
 
 
 def test_subprocess_exit_codes():
