@@ -5,12 +5,15 @@ Exit codes: 0 success, 2 invalid input or parse error, 3 capacity exceeded.
 
 Every option can also come from a JSON config file passed with --config;
 explicit flags always win over config values, which win over built-in
-defaults. Reports go to stdout or to --output, fully built before anything
-is written, so a failing run emits no partial report.
+defaults. Every input is checked before the first byte of a report is
+written, so a refused run emits nothing; reports then stream to stdout, or
+to --output through a temporary file that replaces the target only when
+complete.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from . import reports
@@ -88,7 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_getter(args, parser):
-    """Three-level option lookup: explicit flag, then config file, then default."""
+    """Three-level option lookup: explicit flag, then config file, then default.
+
+    Config keys are checked against the chosen subcommand's options when the
+    file is read; values are checked for type when they are looked up.
+    """
     config = {}
     if args.config is not None:
         try:
@@ -98,23 +105,38 @@ def _config_getter(args, parser):
             parser.error(f"cannot read config file: {exc}")
         if not isinstance(config, dict):
             parser.error("config file must hold a JSON object")
+        options = set(vars(args)) - {"command", "mode", "config"}
+        unknown = sorted(set(config) - options)
+        if unknown:
+            parser.error(f"config file has unknown option(s) {', '.join(map(repr, unknown))}"
+                         f" for this command")
 
-    def get(name, default=None):
+    def get(name, kind=str, default=None):
         value = getattr(args, name, None)
-        if value is not None:
-            return value
-        return config.get(name, default)
+        if value is None:
+            value = config.get(name)  # a JSON null counts as absent
+        if value is None:
+            value = default
+        return None if value is None else _convert(value, kind, name)
 
     return get
 
 
-def _number(value, kind, name):
-    """Convert an option value, from a flag or a config file, with int or float.
+def _convert(value, kind, name):
+    """Check or convert an option value, from a flag or a config file, to `kind`.
 
-    An int option takes a float only when it is integral: 3.0 is 3, 3.7 is
-    refused rather than truncated.
+    str and bool options take only values of that type. Numbers take ints,
+    floats and numeric strings, never booleans; an int option takes a float
+    only when it is integral: 3.0 is 3, 3.7 is refused rather than truncated.
     """
+    if kind in (str, bool):
+        if isinstance(value, kind):
+            return value
+        noun = "a string" if kind is str else "true or false"
+        raise InvalidParamsError(f"{name} must be {noun}, got {value!r}")
     try:
+        if isinstance(value, bool):
+            raise ValueError
         number = kind(value)
         if kind is int and isinstance(value, float) and number != value:
             raise ValueError
@@ -125,20 +147,21 @@ def _number(value, kind, name):
 
 
 def _run_count(get, parser) -> dict:
-    k, r = get("k"), get("r")
+    k, r = get("k", int), get("r", int)
     if k is None or r is None:
         parser.error("count requires --k and --r")
     return reports.build_count_report(
-        _number(k, int, "k"),
-        _number(r, int, "r"),
+        k,
+        r,
         alphabet=get("alphabet"),
-        cap=_number(get("cap", DEFAULT_CLASS_CAP), int, "cap"),
-        include_classes=not get("skip_classes", False),
+        cap=get("cap", int, DEFAULT_CLASS_CAP),
+        include_classes=not get("skip_classes", bool, False),
     )
 
 
 def _run_analyze(get, parser) -> dict:
-    sources = [name for name in ("builtin", "table", "random_seed") if get(name) is not None]
+    kinds = {"builtin": str, "table": str, "random_seed": int}
+    sources = [name for name, kind in kinds.items() if get(name, kind) is not None]
     if len(sources) != 1:
         parser.error("analyze requires exactly one of --builtin, --table, --random-seed")
     if sources[0] == "builtin":
@@ -149,57 +172,88 @@ def _run_analyze(get, parser) -> dict:
         try:
             with open(path, encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
             raise InvalidParamsError(f"cannot read table file: {exc}") from exc
         code, source = parse_table(text), f"table:{path}"
     else:
-        seed = _number(get("random_seed"), int, "random_seed")
+        seed = get("random_seed", int)
         code, source = random_code(seed), f"random-seed:{seed}"
     return reports.build_analyze_report(code, source)
 
 
 def _run_grover(get, parser, mode) -> dict:
     if mode == "solve-n":
-        q = get("q")
+        q = get("q", int)
         if q is None:
             parser.error("grover solve-n requires --q")
-        return reports.build_grover_solve_n_report(_number(q, int, "q"))
+        return reports.build_grover_solve_n_report(q)
     if mode == "solve-q":
-        n = get("n")
+        n = get("n", float)
         if n is None:
             parser.error("grover solve-q requires --n")
-        return reports.build_grover_solve_q_report(_number(n, float, "n"))
-    n, q = get("n"), get("q")
+        return reports.build_grover_solve_q_report(n)
+    n, q = get("n", int), get("q", int)
     if n is None or q is None:
         parser.error("grover simulate requires --n and --q")
     return reports.build_grover_simulate_report(
-        _number(n, int, "n"),
-        _number(q, int, "q"),
-        _number(get("marked", 0), int, "marked"),
-        cap=_number(get("cap", DEFAULT_SIM_CAP), int, "cap"),
+        n, q, get("marked", int, 0), cap=get("cap", int, DEFAULT_SIM_CAP)
     )
 
 
 def _run_energy(get, parser) -> dict:
     params = PhysicalParams(
-        hbar=_number(get("hbar", PhysicalParams.hbar), float, "hbar"),
-        delta_x=_number(get("delta_x", PhysicalParams.delta_x), float, "delta_x"),
-        mass=_number(get("mass", PhysicalParams.mass), float, "mass"),
-        hbond_energy=_number(get("hbond", PhysicalParams.hbond_energy), float, "hbond"),
+        hbar=get("hbar", float, PhysicalParams.hbar),
+        delta_x=get("delta_x", float, PhysicalParams.delta_x),
+        mass=get("mass", float, PhysicalParams.mass),
+        hbond_energy=get("hbond", float, PhysicalParams.hbond_energy),
     )
-    scale = _number(get("scale", DEFAULT_SCALE_FACTOR), float, "scale")
+    scale = get("scale", float, DEFAULT_SCALE_FACTOR)
     return reports.build_energy_report(params, scale)
 
 
-def _write(payload: str, output) -> None:
+def _write(chunks, output) -> None:
+    """Stream the report's chunks to stdout or to the `output` file.
+
+    A file is written under a temporary name in the target's directory and
+    moved over the target only once complete, so a failed run leaves no
+    partial file and no temporary one; a replaced file keeps its permission
+    bits. A target that exists but is not a regular file (a device, a pipe)
+    has nothing to replace and is written directly.
+    """
     if output in (None, "-"):
-        sys.stdout.write(payload)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except OSError as exc:  # say, a reader that stopped early (`| head`)
+            # point stdout at nothing, so the interpreter's last flush cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise InvalidParamsError(f"cannot write the report to stdout: {exc}") from exc
         return
     try:
-        with open(output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(payload)
-    except OSError as exc:
-        raise InvalidParamsError(f"cannot write output file: {exc}") from exc
+        path = os.path.realpath(output)
+        direct = os.path.exists(path) and not os.path.isfile(path)
+        mode = os.stat(path).st_mode & 0o7777 if os.path.isfile(path) else None
+        temporary = path if direct else os.path.join(
+            os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+        handle = open(temporary, "w" if direct else "x", encoding="utf-8", newline="")
+    except (OSError, ValueError) as exc:  # ValueError: a path holding a NUL character
+        raise InvalidParamsError(f"cannot write output file {output!r}: {exc}") from exc
+    try:
+        with handle:
+            handle.writelines(chunks)
+        if not direct:
+            if mode is not None:  # a replaced file keeps its permissions
+                os.chmod(temporary, mode)
+            os.replace(temporary, path)
+    except BaseException as exc:
+        if not direct:
+            try:
+                os.remove(temporary)
+            except OSError:
+                pass
+        if isinstance(exc, OSError):
+            raise InvalidParamsError(f"cannot write output file {output!r}: {exc}") from exc
+        raise
 
 
 def main(argv=None) -> int:
@@ -215,7 +269,7 @@ def main(argv=None) -> int:
             report = _run_grover(get, parser, args.mode)
         else:
             report = _run_energy(get, parser)
-        _write(reports.render(report, fmt=get("format", "text")), get("output"))
+        _write(reports.emit(report, fmt=get("format", default="text")), get("output"))
     except CodonLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

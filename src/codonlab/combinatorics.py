@@ -10,7 +10,6 @@ All arithmetic in this module is exact big-integer arithmetic; it never
 touches floating point.
 """
 
-import itertools
 import math
 import string
 import sys
@@ -21,7 +20,7 @@ from .errors import CapacityExceededError, InvalidParamsError, UnknownLetterErro
 # Canonical total order for nucleotide words (RNA spelling).
 RNA_ALPHABET = ("A", "C", "G", "U")
 
-# Refuse to materialize more classes than this unless the caller raises the cap.
+# Refuse to enumerate more classes than this unless the caller raises the cap.
 DEFAULT_CLASS_CAP = 10**6
 
 
@@ -106,20 +105,77 @@ def multiset_count(k: int, r: int) -> int:
     return math.comb(k + r - 1, r)
 
 
+class MultisetClasses:
+    """The content classes of length-r words over an alphabet, generated on demand.
+
+    `len()` is C(k+r-1, r) and generates nothing. Each iteration generates
+    the classes afresh in ascending order of the canonical word, so memory
+    does not grow with the class count: iterating yields MultisetClass
+    objects, `rows()` yields plain (word, counts, size) tuples.
+    """
+
+    def __init__(self, alphabet: tuple[str, ...], r: int):
+        self.alphabet = alphabet
+        self.r = r
+
+    def __len__(self) -> int:
+        return math.comb(len(self.alphabet) + self.r - 1, self.r)
+
+    def __iter__(self):
+        for word, _, _ in self.rows():
+            yield canonicalize(word, self.alphabet)
+
+    def rows(self, letters=None, sep: str = ","):
+        """Yield (word, counts, size) per class without building a class object.
+
+        `word` spells the class with `letters`, one string per alphabet
+        letter (default the alphabet itself); `counts` is the occupancy
+        vector as text joined by `sep`; `size` is the multinomial
+        r! / prod(counts!). The vectors are generated slot by slot, the
+        first letter's count descending from r, carrying the word, the counts
+        text and the multinomial as a running product of binomials
+        C(left, c) along the prefix.
+        """
+        letters = self.alphabet if letters is None else tuple(letters)
+        r, last = self.r, len(letters) - 1
+        if last == 0:
+            yield letters[0] * r, str(r), 1
+            return
+        ends = [str(c) for c in range(r + 1)]
+        digits = [end + sep for end in ends]
+        comb = math.comb
+
+        def fill(i, left, word, counts, size):
+            letter = letters[i]
+            if i + 1 < last:
+                for c in range(left, -1, -1):
+                    yield from fill(i + 1, left - c, word + letter * c, counts + digits[c],
+                                    size * comb(left, c))
+                return
+            # the last two slots: whatever the second-to-last leaves goes to the last
+            tail = letters[last]
+            for c in range(left, -1, -1):
+                yield (word + letter * c + tail * (left - c), counts + digits[c] + ends[left - c],
+                       size * comb(left, c))
+
+        yield from fill(0, r, "", "", 1)
+
+
 def enumerate_multisets(
     k: int,
     r: int,
     *,
     alphabet=None,
     cap: int = DEFAULT_CLASS_CAP,
-) -> list[MultisetClass]:
-    """All content classes for length-r words over k letters.
+) -> MultisetClasses:
+    """All content classes for length-r words over k letters, generated lazily.
 
-    Classes come back in lexicographic order of the canonical word under the
-    alphabet's total order, with no duplicates; the list length always equals
-    multiset_count(k, r). `alphabet` defaults to the first k uppercase
-    letters. Raises CapacityExceededError instead of materializing more than
-    `cap` classes.
+    Classes come in lexicographic order of the canonical word under the
+    alphabet's total order, with no duplicates; the sequence's length always
+    equals multiset_count(k, r). `alphabet` defaults to the first k uppercase
+    letters. Raises CapacityExceededError, before generating anything, when
+    the class count or r + 1 exceeds `cap`: for k >= 2 the class count is at
+    least r + 1 already, and for k = 1 the one class is an r-letter word.
     """
     _check_k_r(k, r, min_k=1)
     if alphabet is None:
@@ -129,14 +185,9 @@ def enumerate_multisets(
     total = multiset_count(k, r)
     if total > cap:
         raise CapacityExceededError(f"{total} classes for k={k}, r={r} exceed the cap of {cap}")
-    index = {letter: i for i, letter in enumerate(alphabet)}
-    classes = []
-    for combo in itertools.combinations_with_replacement(alphabet, r):
-        counts = [0] * k
-        for letter in combo:
-            counts[index[letter]] += 1
-        classes.append(MultisetClass("".join(combo), tuple(counts), alphabet))
-    return classes
+    if r + 1 > cap:
+        raise CapacityExceededError(f"r + 1 = {r + 1} for k={k} exceeds the cap of {cap}")
+    return MultisetClasses(alphabet, r)
 
 
 def canonicalize(word, alphabet=RNA_ALPHABET) -> MultisetClass:
@@ -159,8 +210,14 @@ def canonicalize(word, alphabet=RNA_ALPHABET) -> MultisetClass:
 
 
 def class_size(cls: MultisetClass) -> int:
-    """Number of ordered words in a class: the multinomial r! / prod(counts!)."""
-    size = math.factorial(sum(cls.counts))
+    """Number of ordered words in a class: the multinomial r! / prod(counts!).
+
+    Computed as the product of the binomials C(left, c), where `left` is
+    the word length not yet taken by earlier letters, so no factorial is
+    ever formed.
+    """
+    size, left = 1, sum(cls.counts)
     for count in cls.counts:
-        size //= math.factorial(count)
+        size *= math.comb(left, count)
+        left -= count
     return size

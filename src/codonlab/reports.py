@@ -1,14 +1,18 @@
 """Report construction and deterministic rendering (text, JSON, CSV).
 
 Builders assemble plain dicts with stable key order. Each command has two
-layouts: a text document (lines and (headers, rows) tables) and one CSV
-table; one emitter per format turns them into output. Floats are rounded to
-12 significant digits at build time, so every format encodes identical
-values and repeated runs over identical inputs produce byte-identical output.
+layouts, a text document (lines and (headers, rows) tables) and one CSV
+table, and a JSON emitter (indented json.dumps, except that a count lists
+one class per line). Output comes chunk by chunk, so a report whose rows
+are generated on demand (the classes of a count) is never held whole.
+Floats are rounded to 12 significant digits at build time, so every format
+encodes identical values and repeated runs over identical inputs produce
+byte-identical output.
 """
 
 import csv
 import io
+import itertools
 import json
 from collections import Counter
 
@@ -17,6 +21,7 @@ from .errors import InvalidParamsError
 from .genetic_code import GeneticCode
 
 SIGNIFICANT_DIGITS = 12
+CHUNK_LINES = 4096  # lines per emitted chunk
 
 
 def round_sig(x: float) -> float:
@@ -32,27 +37,55 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _text(document) -> str:
-    """Join a document's lines, left-aligning the string cells of each table."""
-    lines = []
+def _chunked(lines, sep="\n"):
+    """Join lines with `sep` into chunks of CHUNK_LINES lines; no separator after the last."""
+    lines = iter(lines)
+    lead = ""
+    while chunk := list(itertools.islice(lines, CHUNK_LINES)):
+        yield lead + sep.join(chunk)
+        lead = sep
+
+
+def _lines(document):
+    """A document's lines, left-aligning the string cells of each table.
+
+    A table is (headers, rows), its column widths taken from the rows, or
+    (headers, rows, widths) for rows generated on demand.
+    """
     for block in document:
         if isinstance(block, str):
-            lines.append(block)
+            yield block
             continue
-        headers, rows = block
-        widths = [max(map(len, column)) for column in zip(headers, *rows)]
+        headers, rows, *given = block
+        widths = given[0] if given else [max(map(len, column)) for column in zip(headers, *rows)]
         template = "  ".join(f"{{:<{width}}}" for width in widths)
-        lines.append(template.format(*headers).rstrip())
-        lines.extend(template.format(*row).rstrip() for row in rows)
-    return "\n".join(lines) + "\n"
+        yield template.format(*headers).rstrip()
+        for row in rows:
+            yield template.format(*row).rstrip()
 
 
-def _csv(headers, rows) -> str:
+def _text(document):
+    yield from _chunked(_lines(document))
+    yield "\n"
+
+
+def _csv(headers, rows):
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(headers)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    rows = iter(rows)
+    while True:
+        writer.writerows(itertools.islice(rows, CHUNK_LINES))
+        chunk = buffer.getvalue()
+        if not chunk:
+            return
+        yield chunk
+        buffer.seek(0)
+        buffer.truncate()
+
+
+def _json(report):
+    yield json.dumps(report, indent=2) + "\n"
 
 
 # --- count ---------------------------------------------------------------
@@ -66,6 +99,12 @@ def build_count_report(
     cap: int = combinatorics.DEFAULT_CLASS_CAP,
     include_classes: bool = True,
 ) -> dict:
+    """The two counts and, unless skipped, the classes as a lazy MultisetClasses.
+
+    Every check (the digit bound, the alphabet, the cap) runs here, before
+    any class is generated. The text and JSON layouts add the partition
+    identity from a counts-only pass over the class sizes.
+    """
     combinatorics.check_printable(k, r)
     report = {
         "command": "count",
@@ -75,14 +114,18 @@ def build_count_report(
         "multiset_count": combinatorics.multiset_count(k, r),
     }
     if include_classes:
-        classes = combinatorics.enumerate_multisets(k, r, alphabet=alphabet, cap=cap)
-        sizes = [combinatorics.class_size(c) for c in classes]
-        report["partition_identity_holds"] = sum(sizes) == report["arrangements"]
-        report["classes"] = [
-            {"word": c.canonical_word, "counts": list(c.counts), "size": size}
-            for c, size in zip(classes, sizes)
-        ]
+        report["classes"] = combinatorics.enumerate_multisets(k, r, alphabet=alphabet, cap=cap)
     return report
+
+
+def _count_survey(report):
+    """Counts-only pass: whether the class sizes sum to k^r, and the widest counts text."""
+    classes = report["classes"]
+    total = widest = 0
+    for _, counts, size in classes.rows(letters=("",) * len(classes.alphabet)):
+        total += size
+        widest = max(widest, len(counts))
+    return total == report["arrangements"], widest
 
 
 def _count_text(report) -> list:
@@ -93,20 +136,40 @@ def _count_text(report) -> list:
     ]
     if "classes" not in report:
         return document + ["  classes:              skipped"]
-    identity = "ok (class sizes sum to k^r)" if report["partition_identity_holds"] else "VIOLATED"
-    rows = [
-        (c["word"] or "(empty)", ",".join(map(str, c["counts"])), str(c["size"]))
-        for c in report["classes"]
-    ]
-    table = (("word", "counts", "size"), rows)
+    holds, widest = _count_survey(report)
+    identity = "ok (class sizes sum to k^r)" if holds else "VIOLATED"
+    r = report["r"]
+    rows = ((word or "(empty)", counts, str(size))
+            for word, counts, size in report["classes"].rows())
+    # every word has r letters; the last column is never padded, so its width is moot
+    widths = (max(len("word"), r or len("(empty)")), max(len("counts"), widest), len("size"))
+    table = (("word", "counts", "size"), rows, widths)
     return document + [f"  partition identity:   {identity}", "", table]
 
 
+def _count_json(report):
+    """The count report as JSON, each class on one line.
+
+    Letters are JSON-escaped one by one, which escapes every word spelled
+    from them.
+    """
+    if "classes" not in report:
+        return _json(report)
+    classes = report["classes"]
+    head = {key: value for key, value in report.items() if key != "classes"}
+    head["partition_identity_holds"] = _count_survey(report)[0]
+    letters = [json.dumps(letter)[1:-1] for letter in classes.alphabet]
+    rows = (f'    {{"word": "{word}", "counts": [{counts}], "size": {size}}}'
+            for word, counts, size in classes.rows(letters, ", "))
+    return itertools.chain(
+        [json.dumps(head, indent=2)[:-2] + ',\n  "classes": [\n'],
+        _chunked(rows, ",\n"),
+        ["\n  ]\n}\n"],
+    )
+
+
 def _count_csv(report) -> tuple:
-    rows = [
-        (c["word"], ":".join(map(str, c["counts"])), c["size"])
-        for c in report.get("classes", [])
-    ]
+    rows = report["classes"].rows(sep=":") if "classes" in report else ()
     return ("word", "counts", "size"), rows
 
 
@@ -387,22 +450,31 @@ def _energy_csv(report) -> tuple:
 
 # --- dispatch ---------------------------------------------------------------
 
-# command -> (text document layout, CSV table layout)
+# command -> (text document layout, CSV table layout, JSON emitter)
 _LAYOUTS = {
-    "count": (_count_text, _count_csv),
-    "analyze": (_analyze_text, _analyze_csv),
-    "grover": (_grover_text, _grover_csv),
-    "energy": (_energy_text, _energy_csv),
+    "count": (_count_text, _count_csv, _count_json),
+    "analyze": (_analyze_text, _analyze_csv, _json),
+    "grover": (_grover_text, _grover_csv, _json),
+    "energy": (_energy_text, _energy_csv, _json),
 }
 
 
-def render(report: dict, fmt: str = "text") -> str:
-    """Render a built report in one of the three formats."""
-    if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
-    text_layout, csv_layout = _LAYOUTS[report["command"]]
+def emit(report: dict, fmt: str = "text"):
+    """A built report in one of the three formats, as an iterator of text chunks.
+
+    The format is checked, and a count's counts-only pass made, before the
+    iterator is returned, so a failure leaves nothing half emitted.
+    """
+    text_layout, csv_layout, json_emitter = _LAYOUTS[report["command"]]
     if fmt == "text":
         return _text(text_layout(report))
     if fmt == "csv":
         return _csv(*csv_layout(report))
+    if fmt == "json":
+        return json_emitter(report)
     raise InvalidParamsError(f"format must be text, json or csv, got {fmt!r}")
+
+
+def render(report: dict, fmt: str = "text") -> str:
+    """Render a built report in one of the three formats: the joined chunks of emit()."""
+    return "".join(emit(report, fmt))

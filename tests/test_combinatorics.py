@@ -123,8 +123,9 @@ def test_enumerate_custom_alphabet():
 def test_enumerate_r_zero_gives_single_empty_class():
     classes = enumerate_multisets(4, 0)
     assert len(classes) == 1
-    assert classes[0].canonical_word == ""
-    assert class_size(classes[0]) == 1
+    (only,) = classes
+    assert only.canonical_word == ""
+    assert class_size(only) == 1
 
 
 def test_enumeration_cap():
@@ -135,6 +136,29 @@ def test_enumeration_cap():
     assert len(enumerate_multisets(4, 3, cap=exact)) == exact
     with pytest.raises(CapacityExceededError):
         enumerate_multisets(4, 3, cap=exact - 1)
+    # k = 1 has one class whatever r is, so r + 1 is held to the cap as well
+    assert len(enumerate_multisets(1, 9, cap=10)) == 1
+    with pytest.raises(CapacityExceededError):
+        enumerate_multisets(1, 10, cap=10)
+    with pytest.raises(CapacityExceededError):
+        enumerate_multisets(1, 10**18)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+@pytest.mark.parametrize("r", range(0, 6))
+def test_rows_spell_every_class_in_order(k, r):
+    alphabet = generic_alphabet(k)
+    oracle = brute_class_sizes(alphabet, r)
+    classes = enumerate_multisets(k, r)
+    rows = list(classes.rows())
+    assert [word for word, _, _ in rows] == sorted(oracle)
+    for word, counts, size in rows:
+        assert counts == ",".join(str(word.count(a)) for a in alphabet)
+        assert size == oracle[word]
+    spelled = classes.rows(letters=[f"<{a}>" for a in alphabet], sep="; ")
+    for (word, counts, size), (other, other_counts, other_size) in zip(rows, spelled, strict=True):
+        assert other == "".join(f"<{a}>" for a in word)
+        assert (other_counts, other_size) == (counts.replace(",", "; "), size)
 
 
 # --- canonicalize -----------------------------------------------------------

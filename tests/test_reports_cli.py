@@ -5,14 +5,25 @@ exceeded. Failing runs must leave stdout empty (no partial reports).
 """
 
 import contextlib
+import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from codonlab import PhysicalParams, builtin_standard_code, solve_n, symmetry
+from codonlab import (
+    PhysicalParams,
+    builtin_standard_code,
+    class_size,
+    enumerate_multisets,
+    reports,
+    solve_n,
+    symmetry,
+)
 from codonlab.cli import main
 from codonlab.genetic_code import STANDARD_TABLE_TEXT
 from codonlab.reports import (
@@ -23,6 +34,9 @@ from codonlab.reports import (
     round_sig,
 )
 from codonlab.errors import InvalidParamsError
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+EXTENSIONS = {"text": "txt", "json": "json", "csv": "csv"}
 
 
 def strict_json(text):
@@ -59,7 +73,12 @@ def test_count_json_matches_builder():
     code, out, _ = run_cli("count", "--k", "5", "--r", "4", "--format", "json")
     assert code == 0
     report = json.loads(out)
-    assert report == build_count_report(5, 4)
+    built = build_count_report(5, 4)
+    classes = [
+        {"word": c.canonical_word, "counts": list(c.counts), "size": class_size(c)}
+        for c in built.pop("classes")
+    ]
+    assert report == dict(built, partition_identity_holds=True, classes=classes)
     assert report["arrangements"] == 625
     assert report["multiset_count"] == 70
     assert report["partition_identity_holds"] is True
@@ -117,6 +136,77 @@ def test_count_refuses_results_past_the_int_digit_limit():
         code, out, _ = run_cli("count", "--k", "10", "--r", str(limit - 1), "--skip-classes",
                                "--format", fmt)
         assert code == 0 and str(10 ** (limit - 1)) in out
+
+
+def test_count_k_1_bounds_r_by_the_cap():
+    code, out, err = run_cli("count", "--k", "1", "--r", "10", "--cap", "10", "--format", "csv")
+    assert code == 3 and out == ""
+    assert "error:" in err
+    code, out, _ = run_cli("count", "--k", "1", "--r", "9", "--cap", "10", "--format", "csv")
+    assert code == 0 and out == "word,counts,size\nAAAAAAAAA,9,1\n"
+    for r in (10**6, 10**18):  # past the default cap of 10**6 on r + 1
+        code, out, _ = run_cli("count", "--k", "1", "--r", str(r), "--format", "csv")
+        assert code == 3 and out == ""
+
+
+@pytest.mark.parametrize("alphabet", ['A,"', '\\",', 'a,"\\\u00e9'])
+def test_count_quotes_and_escapes_special_letters(alphabet):
+    k = str(len(alphabet))
+    classes = list(enumerate_multisets(len(alphabet), 3, alphabet=alphabet))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(("word", "counts", "size"))
+    writer.writerows((c.canonical_word, ":".join(map(str, c.counts)), class_size(c))
+                     for c in classes)
+    code, out, _ = run_cli("count", "--k", k, "--r", "3", "--alphabet", alphabet, "--format", "csv")
+    assert code == 0 and out == buffer.getvalue()
+    assert [row[0] for row in csv.reader(io.StringIO(out))][1:] == [
+        c.canonical_word for c in classes]
+    code, out, _ = run_cli("count", "--k", k, "--r", "3", "--alphabet", alphabet,
+                           "--format", "json")
+    assert code == 0
+    assert [c["word"] for c in strict_json(out)["classes"]] == [
+        c.canonical_word for c in classes]
+
+
+def test_count_json_has_one_class_per_line():
+    code, out, _ = run_cli("count", "--k", "3", "--r", "2", "--format", "json")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[lines.index('  "classes": [') + 1:] == [
+        '    {"word": "AA", "counts": [2, 0, 0], "size": 1},',
+        '    {"word": "AB", "counts": [1, 1, 0], "size": 2},',
+        '    {"word": "AC", "counts": [1, 0, 1], "size": 2},',
+        '    {"word": "BB", "counts": [0, 2, 0], "size": 1},',
+        '    {"word": "BC", "counts": [0, 1, 1], "size": 2},',
+        '    {"word": "CC", "counts": [0, 0, 2], "size": 1}',
+        "  ]",
+        "}",
+    ]
+
+
+def test_count_reports_stream_in_chunks(monkeypatch):
+    monkeypatch.setattr(reports, "CHUNK_LINES", 3)
+    report = build_count_report(4, 3)
+    for fmt in ("text", "json", "csv"):
+        chunks = list(reports.emit(report, fmt))
+        assert len(chunks) > 5
+        assert "".join(chunks) == (GOLDEN / f"count.{EXTENSIONS[fmt]}").read_text()
+
+
+def child_peak_rss_kb(*argv):
+    """Peak resident set of one `python -m codonlab` run, from os.wait4."""
+    child = subprocess.Popen([sys.executable, "-m", "codonlab", *argv],
+                             stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    return usage.ru_maxrss
+
+
+def test_count_memory_is_flat_in_class_count():
+    small = child_peak_rss_kb("count", "--k", "5", "--r", "20", "--format", "json")  # 10,626
+    large = child_peak_rss_kb("count", "--k", "6", "--r", "27", "--format", "json")  # 201,376
+    assert large - small < 4 * 1024
 
 
 def test_count_missing_and_invalid_params():
@@ -378,6 +468,14 @@ def test_unreadable_or_malformed_config(tmp_path):
         (("grover", "simulate", "--n", "4", "--q", "1"), {"marked": 1e400}),
         (("energy",), {"hbar": "tiny"}),
         (("analyze",), {"random_seed": "x"}),
+        (("grover", "solve-n"), {"q": True}),
+        (("grover", "solve-q"), {"n": False}),
+        (("energy",), {"mass": True}),
+        (("count", "--k", "2", "--r", "2"), {"alphabet": 12}),
+        (("count", "--k", "2", "--r", "2"), {"skip_classes": "yes"}),
+        (("count", "--k", "2", "--r", "2"), {"format": 1}),
+        (("count", "--k", "2", "--r", "2"), {"output": 3}),
+        (("analyze",), {"table": 0}),
     ],
 )
 def test_non_numeric_config_values_exit_2(tmp_path, argv, config):
@@ -393,11 +491,54 @@ def test_config_accepts_numbers_and_numeric_strings(tmp_path):
     path.write_text(json.dumps({"n": "123.456", "format": "json"}))
     code, out, _ = run_cli("grover", "solve-q", "--config", str(path))
     assert code == 0 and json.loads(out)["n"] == 123.456
-    path.write_text(json.dumps({"k": 3, "r": "2", "hbar": 1.05e-27, "format": "json"}))
+    path.write_text(json.dumps({"k": 3, "r": "2", "format": "json"}))
     assert json.loads(run_cli("count", "--config", str(path))[1])["arrangements"] == 9
+    path.write_text(json.dumps({"hbar": 1.05e-27, "format": "json"}))
     assert json.loads(run_cli("energy", "--config", str(path))[1])["params"]["hbar"] == 1.05e-27
     path.write_text(json.dumps({"q": 3.0, "format": "json"}))
     assert json.loads(run_cli("grover", "solve-n", "--config", str(path))[1])["q"] == 3
+    path.write_text(json.dumps({"hbar": None, "scale": None, "format": "json"}))  # null: absent
+    energy = json.loads(run_cli("energy", "--config", str(path))[1])
+    assert energy == build_energy_report(PhysicalParams(), 3.0)
+
+
+@pytest.mark.parametrize(
+    "argv, config, unknown",
+    [
+        (("count",), {"k": 4, "r": 1, "bogus": 1}, "'bogus'"),
+        (("count", "--k", "4", "--r", "1"), {"hbar": 1e-27}, "'hbar'"),
+        (("grover", "solve-n", "--q", "3"), {"n": 20}, "'n'"),
+        (("energy",), {"config": "other.json", "command": "count"}, "'command', 'config'"),
+    ],
+)
+def test_unknown_config_keys_exit_2(tmp_path, argv, config, unknown):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(*argv, "--config", str(path))
+    assert code == 2 and out == ""
+    assert f"unknown option(s) {unknown}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (("count",), {"k": 3, "r": 2, "alphabet": "XYZ", "cap": 10, "skip_classes": False}),
+        (("analyze",), {"builtin": "standard"}),
+        (("analyze",), {"random_seed": 3}),
+        (("grover", "solve-n"), {"q": 3}),
+        (("grover", "solve-q"), {"n": 20.2}),
+        (("grover", "simulate"), {"n": 4, "q": 1, "marked": 2, "cap": 8}),
+        (("energy",), {"hbar": 1e-27, "delta_x": 3e-8, "mass": 1e-23, "hbond": 3e-13,
+                       "scale": 2.0}),
+    ],
+)
+def test_config_accepts_every_option_of_its_subcommand(tmp_path, argv, config):
+    path = tmp_path / "cfg.json"
+    target = tmp_path / "report.json"
+    path.write_text(json.dumps(dict(config, format="json", output=str(target))))
+    code, out, err = run_cli(*argv, "--config", str(path))
+    assert (code, out, err) == (0, "", "")
+    strict_json(target.read_text(encoding="utf-8"))
 
 
 def test_config_cannot_smuggle_bad_format(tmp_path):
@@ -423,6 +564,39 @@ def test_unwritable_output_path_exits_2(tmp_path):
     assert code == 2 and out == ""
     assert err.startswith("error: cannot write output file")
     assert not target.exists()
+    code, out, err = run_cli("count", "--k", "2", "--r", "2", "--output", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write output file")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--k", "4", "--r", "3", "--cap", "5"),  # class cap
+        ("count", "--k", "1", "--r", "5", "--cap", "5"),  # r + 1 cap
+        ("count", "--k", "10", "--r", "5000"),  # digit bound
+        ("count", "--k", "3", "--r", "2", "--alphabet", "AAB"),  # bad alphabet
+        ("count", "--k", "3", "--r", "2", "--format", "xml"),
+    ],
+)
+def test_count_refusals_create_no_output_file(tmp_path, argv):
+    target = tmp_path / "report.txt"
+    code, out, err = run_cli(*argv, "--output", str(target))
+    assert code in (2, 3) and out == ""
+    assert "error" in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_output_replaces_an_existing_file(tmp_path):
+    target = tmp_path / "report.csv"
+    target.write_text("old report\n")
+    target.chmod(0o600)
+    code, out, _ = run_cli("count", "--k", "2", "--r", "2", "--format", "csv", "-o", str(target))
+    assert code == 0 and out == ""
+    assert target.read_text() == "word,counts,size\nAA,2:0,1\nAB,1:1,2\nBB,0:2,1\n"
+    assert target.stat().st_mode & 0o777 == 0o600
+    assert os.listdir(tmp_path) == ["report.csv"]
 
 
 def test_invalid_format_flag():
@@ -480,6 +654,19 @@ def test_subprocess_runs_are_byte_identical():
 def test_import_loads_no_numpy():
     check = "import codonlab, sys; assert 'numpy' not in sys.modules"
     assert subprocess.run([sys.executable, "-c", check], timeout=60).returncode == 0
+
+
+def test_reader_closing_stdout_early_exits_2_without_traceback():
+    # about 3 MB of JSON, far more than a pipe holds, so the run is still writing
+    child = subprocess.Popen(
+        [sys.executable, "-m", "codonlab", "count", "--k", "6", "--r", "20", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert child.stdout.read(10) == b'{\n  "comma'
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=60) == 2
+    assert err == "error: cannot write the report to stdout: [Errno 32] Broken pipe\n"
 
 
 def test_subprocess_exit_codes():
