@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from . import reports
+from . import __version__, reports
 from .combinatorics import DEFAULT_CLASS_CAP
 from .errors import CodonLabError, InvalidParamsError
 from .genetic_code import BUILTIN_TABLE_TEXTS, builtin_code, parse_table
@@ -42,6 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Codon content-class counting, genetic-code symmetry analysis, "
                     "search-query numerics and uncertainty-energy estimates.",
     )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="count and enumerate word content classes")

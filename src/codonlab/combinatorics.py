@@ -69,7 +69,24 @@ def _validated_alphabet(alphabet, k: int) -> tuple[str, ...]:
         raise InvalidParamsError("alphabet letters must be single characters")
     if len(set(alphabet)) != len(alphabet):
         raise InvalidParamsError("alphabet letters must be distinct")
+    for letter in alphabet:
+        if not _fills_one_cell(letter):
+            raise InvalidParamsError(
+                f"alphabet letters must be printable, non-space and one column wide, got {letter!r}"
+            )
     return alphabet
+
+
+def _fills_one_cell(letter: str) -> bool:
+    """Whether a letter prints as one visible column, so text tables stay aligned."""
+    if not letter.isprintable() or letter.isspace():
+        return False
+    if letter.isascii():
+        return True
+    import unicodedata  # only for non-ASCII letters, so start-up does not load it
+
+    return (unicodedata.east_asian_width(letter) not in ("W", "F")
+            and not unicodedata.category(letter).startswith("M"))
 
 
 def arrangements(k: int, r: int) -> int:

@@ -108,14 +108,25 @@ def simulate(n: int, q: int, marked: int = 0, *, cap: int = DEFAULT_SIM_CAP) -> 
 
     others = n - 1
     a = b = 1.0 / math.sqrt(n)
-    trace = [a * a]
-    drift = abs(math.sqrt(a * a + others * b * b) - 1.0)
+    p = a * a
+    trace = [p]
+    low = high = p + others * b * b  # extremes of the squared L2 norm over all steps
+    append = trace.append
     for _ in range(q):
-        a = -a
-        mean = (a + others * b) / n
-        a, b = 2.0 * mean - a, 2.0 * mean - b
-        drift = max(drift, abs(math.sqrt(a * a + others * b * b) - 1.0))
-        trace.append(a * a)
+        # sign flip, then inversion about the mean, with the flip folded in:
+        # (others*b - a) and m + a are exactly (-a + others*b) and 2*mean - (-a)
+        m = (others * b - a) / n
+        m += m
+        a, b = m + a, m - b
+        p = a * a
+        append(p)
+        s = p + others * b * b
+        if s > high:
+            high = s
+        elif s < low:
+            low = s
+    # |fl(sqrt(s)) - 1| falls then rises with s, so the extremes of s give its maximum
+    drift = max(abs(math.sqrt(low) - 1.0), abs(math.sqrt(high) - 1.0))
     return GroverRun(
         n=n,
         marked=marked,

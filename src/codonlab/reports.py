@@ -1,10 +1,12 @@
 """Report construction and deterministic rendering (text, JSON, CSV).
 
 Builders assemble plain dicts with stable key order. Each command has two
-layouts, a text document (lines and (headers, rows) tables) and one CSV
-table, and a JSON emitter (indented json.dumps, except that a count lists
-one class per line). Output comes chunk by chunk, so a report whose rows
-are generated on demand (the classes of a count) is never held whole.
+layouts, a text document (lines, (headers, rows) tables and runs of
+preformatted lines) and one CSV table, and a JSON emitter: indented
+json.dumps, except that count (one class per line) and grover simulate (the
+trace joined from float reprs, as json.dumps spells it) each have their own.
+Output comes chunk by chunk, so a report whose rows are generated on demand
+(the classes of a count) is never held whole.
 Floats are rounded to 12 significant digits at build time, so every format
 encodes identical values and repeated runs over identical inputs produce
 byte-identical output.
@@ -22,18 +24,19 @@ from .genetic_code import GeneticCode
 
 SIGNIFICANT_DIGITS = 12
 CHUNK_LINES = 4096  # lines per emitted chunk
+_format_float = f"{{:.{SIGNIFICANT_DIGITS}g}}".format
 
 
 def round_sig(x: float) -> float:
     """Round to the emission precision (12 significant digits)."""
-    return float(f"{x:.{SIGNIFICANT_DIGITS}g}")
+    return float(_format_float(x))
 
 
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):
-        return f"{value:.{SIGNIFICANT_DIGITS}g}"
+        return _format_float(value)
     return str(value)
 
 
@@ -49,12 +52,16 @@ def _chunked(lines, sep="\n"):
 def _lines(document):
     """A document's lines, left-aligning the string cells of each table.
 
+    A block is a line, a table or any other iterable of preformatted lines.
     A table is (headers, rows), its column widths taken from the rows, or
     (headers, rows, widths) for rows generated on demand.
     """
     for block in document:
         if isinstance(block, str):
             yield block
+            continue
+        if not isinstance(block, tuple):
+            yield from block
             continue
         headers, rows, *given = block
         widths = given[0] if given else [max(map(len, column)) for column in zip(headers, *rows)]
@@ -341,7 +348,7 @@ def build_grover_simulate_report(n: int, q: int, marked: int, *, cap=grover.DEFA
         "closed_form_probability": round_sig(closed_form),
         "difference": round_sig(abs(final - closed_form)),
         "max_norm_drift": round_sig(run.max_norm_drift),
-        "trace": [round_sig(p) for p in run.probability_trace],
+        "trace": list(map(float, map(_format_float, run.probability_trace))),  # round_sig each
     }
 
 
@@ -359,7 +366,10 @@ def _grover_text(report) -> list:
             f"  n = {_fmt(report['n'])}",
             f"  q = {_fmt(report['q_solved'])} (rounded: {report['q_rounded']})",
         ]
-    rows = [(str(i), f"{p:.{SIGNIFICANT_DIGITS}g}") for i, p in enumerate(report["trace"])]
+    trace = report["trace"]
+    # the trace table as preformatted rows; as in a _lines table, the last column is not padded
+    width = max(len("iteration"), len(str(len(trace) - 1)))
+    row = f"{{:<{width}}}  {{:.{SIGNIFICANT_DIGITS}g}}".format
     return [
         f"Search simulation: n = {report['n']}, q = {report['q']}, marked index {report['marked']}",
         f"  final marked probability: {_fmt(report['final_marked_probability'])}",
@@ -367,7 +377,8 @@ def _grover_text(report) -> list:
         f"  |difference|:             {_fmt(report['difference'])}",
         f"  max norm drift:           {_fmt(report['max_norm_drift'])}",
         "",
-        (("iteration", "marked_probability"), rows),
+        f"{'iteration':<{width}}  marked_probability",
+        map(row, range(len(trace)), trace),
     ]
 
 
@@ -380,8 +391,18 @@ def _grover_csv(report) -> tuple:
             ("n", "q_solved", "q_rounded"),
             [(_fmt(report["n"]), _fmt(report["q_solved"]), report["q_rounded"])],
         )
-    rows = [(i, f"{p:.{SIGNIFICANT_DIGITS}g}") for i, p in enumerate(report["trace"])]
+    trace = report["trace"]
+    rows = zip(range(len(trace)), map(_format_float, trace))
     return ("iteration", "marked_probability"), rows
+
+
+def _grover_json(report):
+    """A simulate report as JSON, its trace spelled as json.dumps spells finite floats."""
+    if report["mode"] != "simulate":
+        return _json(report)
+    head = {key: value for key, value in report.items() if key != "trace"}
+    trace = ",\n    ".join(map(float.__repr__, report["trace"]))
+    return [json.dumps(head, indent=2)[:-2] + ',\n  "trace": [\n    ' + trace + "\n  ]\n}\n"]
 
 
 # --- energy ---------------------------------------------------------------
@@ -454,7 +475,7 @@ def _energy_csv(report) -> tuple:
 _LAYOUTS = {
     "count": (_count_text, _count_csv, _count_json),
     "analyze": (_analyze_text, _analyze_csv, _json),
-    "grover": (_grover_text, _grover_csv, _json),
+    "grover": (_grover_text, _grover_csv, _grover_json),
     "energy": (_energy_text, _energy_csv, _json),
 }
 

@@ -4,12 +4,14 @@ Every subcommand runs in every format and its stdout is compared with a
 file under tests/golden/. A refactor that moves any output byte fails here.
 A deliberate change of output regenerates the corpus with
 `PYTHONPATH=src python tests/test_golden.py` and names the changed bytes in
-CHANGES.md.
+CHANGES.md; `PYTHONPATH=src python tests/test_golden.py CASE...` regenerates
+only the named cases.
 """
 
 import contextlib
 import io
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +35,8 @@ CASES = {
     "grover-solve-n": ["grover", "solve-n", "--q", "3"],
     "grover-solve-q": ["grover", "solve-q", "--n", "20.2"],
     "grover-simulate": ["grover", "simulate", "--n", "20", "--q", "3", "--marked", "11"],
+    "grover-simulate-exact": ["grover", "simulate", "--n", "4", "--q", "12"],
+    "grover-simulate-long": ["grover", "simulate", "--n", "64", "--q", "150"],
     "energy": ["energy"],
     "energy-overrides": ["energy", "--hbar", "1e-27", "--delta-x", "3.4e-8", "--mass",
                          "1.67e-23", "--hbond", "3.5e-13", "--scale", "2.5"],
@@ -58,6 +62,10 @@ def test_cli_report_matches_golden(case, fmt, monkeypatch):
 
 if __name__ == "__main__":
     os.chdir(ROOT)
-    for case, argv in CASES.items():
+    names = sys.argv[1:] or list(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown case(s): {', '.join(unknown)}")
+    for case in names:
         for fmt, ext in EXTENSIONS.items():
-            (GOLDEN / f"{case}.{ext}").write_bytes(run(argv, fmt))
+            (GOLDEN / f"{case}.{ext}").write_bytes(run(CASES[case], fmt))

@@ -4,7 +4,8 @@ The two sides are independent implementations of the same process, so
 their agreement over a dense grid is the main correctness argument; the
 identity (2q+1) * asin(1/sqrt(n)) = pi/2 is verified directly as well. The
 two-amplitude simulator is also compared, amplitude by amplitude, with a
-full-vector oracle (`grover_oracle.simulate_vector`).
+full-vector oracle (`grover_oracle.simulate_vector`), and bit for bit with
+the plain step-by-step pair loop (`grover_oracle.simulate_pair`).
 """
 
 import math
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grover_oracle import simulate_vector
+from grover_oracle import simulate_pair, simulate_vector
 
 from codonlab import (
     CapacityExceededError,
@@ -190,3 +191,14 @@ def test_two_amplitude_simulator_matches_the_full_vector_oracle(args):
     assert abs(run.marked_amplitude - amplitudes[marked]) <= 1e-12
     others = [float(x) for i, x in enumerate(amplitudes) if i != marked]
     assert all(abs(run.unmarked_amplitude - x) <= 1e-12 for x in others)
+
+
+@given(st.integers(min_value=2, max_value=2**20), st.integers(min_value=0, max_value=3000))
+@settings(max_examples=200, deadline=None)
+def test_simulator_is_bit_exact_against_the_step_by_step_pair_loop(n, q):
+    a, b, trace, drift = simulate_pair(n, q)
+    run = simulate(n, q)
+    # float.hex tells -0.0 from 0.0, which == does not
+    assert list(map(float.hex, run.probability_trace)) == list(map(float.hex, trace))
+    final = (run.marked_amplitude, run.unmarked_amplitude, run.max_norm_drift)
+    assert list(map(float.hex, final)) == list(map(float.hex, (a, b, drift)))

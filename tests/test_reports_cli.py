@@ -14,7 +14,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import codonlab
 from codonlab import (
     PhysicalParams,
     builtin_standard_code,
@@ -30,6 +33,7 @@ from codonlab.reports import (
     build_analyze_report,
     build_count_report,
     build_energy_report,
+    build_grover_simulate_report,
     render,
     round_sig,
 )
@@ -216,6 +220,16 @@ def test_count_missing_and_invalid_params():
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("letter", ["\n", "\t", " ", "\u754c", "\u0301"],
+                         ids=["newline", "tab", "space", "wide", "combining"])
+def test_count_refuses_letters_that_break_text_tables(letter):
+    for fmt in EXTENSIONS:
+        code, out, err = run_cli("count", "--k", "2", "--r", "1", "--alphabet", "A" + letter,
+                                 "--format", fmt)
+        assert (code, out) == (2, "")
+        assert "one column wide" in err
+
+
 # --- analyze ----------------------------------------------------------------
 
 
@@ -350,6 +364,49 @@ def test_grover_error_paths():
         code, out, err = run_cli("grover", "simulate", "--n", "4", "--q", q, *cap)
         assert code == 3 and out == ""
         assert f"q={q} exceeds the simulation cap" in err
+
+
+def reference_simulate_text(report):
+    """A simulate report as text, its trace rendered as a table of (iteration, value) rows."""
+    fmt = "{:.12g}".format
+    lines = [
+        f"Search simulation: n = {report['n']}, q = {report['q']}, marked index {report['marked']}",
+        f"  final marked probability: {fmt(report['final_marked_probability'])}",
+        f"  closed-form probability:  {fmt(report['closed_form_probability'])}",
+        f"  |difference|:             {fmt(report['difference'])}",
+        f"  max norm drift:           {fmt(report['max_norm_drift'])}",
+        "",
+    ]
+    rows = [("iteration", "marked_probability")]
+    rows += [(str(i), fmt(p)) for i, p in enumerate(report["trace"])]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    template = "  ".join(f"{{:<{width}}}" for width in widths)
+    return "\n".join(lines + [template.format(*row).rstrip() for row in rows]) + "\n"
+
+
+def reference_simulate_csv(report):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(("iteration", "marked_probability"))
+    writer.writerows((i, f"{p:.12g}") for i, p in enumerate(report["trace"]))
+    return buffer.getvalue()
+
+
+@st.composite
+def _simulations(draw):
+    n = draw(st.one_of(st.integers(2, 64), st.integers(2, 2**20)))
+    return n, draw(st.integers(0, 1500)), draw(st.integers(0, n - 1))
+
+
+@given(_simulations())
+@example((4, 12, 0))  # exact 1.0 and 0.25, spelled 1.0 in JSON and 1 in text and CSV
+@example((64, 150, 5))
+@settings(max_examples=60, deadline=None)
+def test_simulate_emitters_match_reference_renderings(args):
+    report = build_grover_simulate_report(*args)
+    assert render(report, "json") == json.dumps(report, indent=2) + "\n"
+    assert render(report, "text") == reference_simulate_text(report)
+    assert render(report, "csv") == reference_simulate_csv(report)
 
 
 # --- energy ----------------------------------------------------------------
@@ -606,6 +663,13 @@ def test_invalid_format_flag():
 def test_help_exits_zero():
     assert run_cli("--help")[0] == 0
     assert run_cli("count", "--help")[0] == 0
+
+
+def test_version_prints_the_package_version():
+    assert run_cli("--version") == (0, f"codonlab {codonlab.__version__}\n", "")
+    result = module_run(["--version"])
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0, f"codonlab {codonlab.__version__}\n".encode(), b"")
 
 
 # --- rendering helpers ----------------------------------------------------------
