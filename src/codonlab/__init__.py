@@ -33,9 +33,7 @@ from .genetic_code import (
     GeneticCode,
     builtin_code,
     builtin_standard_code,
-    codon_from_index,
     codon_index,
-    normalize_alphabet,
     parse_table,
     serialize_table,
 )

@@ -23,6 +23,9 @@ RNA_ALPHABET = ("A", "C", "G", "U")
 # Refuse to enumerate more classes than this unless the caller raises the cap.
 DEFAULT_CLASS_CAP = 10**6
 
+# Refuse counts with more decimal digits than this (CPython's default int-to-str limit).
+MAX_DIGITS = 4300
+
 
 @dataclass(frozen=True)
 class MultisetClass:
@@ -100,20 +103,20 @@ def arrangements(k: int, r: int) -> int:
 
 
 def check_printable(k: int, r: int) -> None:
-    """Refuse k, r whose counts would have more digits than str() may print.
+    """Refuse k, r whose counts would have more than MAX_DIGITS decimal digits.
 
-    Python 3.11 and later refuse to convert an integer of more than
-    sys.get_int_max_str_digits() decimal digits (0 means no limit). k**r has
-    floor(r * log10(k)) + 1 digits and bounds the class count and every
-    class size, so this check runs before any of them is computed.
+    The bound holds on every Python version, and it drops to the
+    interpreter's int-to-str limit (sys.get_int_max_str_digits(), 3.11+,
+    0 meaning none) where that is lower, so str() never refuses a count.
+    k**r has floor(r * log10(k)) + 1 digits and bounds the class count and
+    every class size, so this check runs before any of them is computed.
     """
     _check_k_r(k, r, min_k=1)
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = min(MAX_DIGITS, limit or MAX_DIGITS)
     # r is compared with the float bound, never converted, so a huge r cannot overflow
-    if limit and k > 1 and r >= limit / math.log10(k):
-        raise CapacityExceededError(
-            f"k**r for k={k}, r={r} has more than {limit} digits, the int-to-str limit"
-        )
+    if k > 1 and r >= limit / math.log10(k):
+        raise CapacityExceededError(f"k**r for k={k}, r={r} has more than {limit} digits")
 
 
 def multiset_count(k: int, r: int) -> int:

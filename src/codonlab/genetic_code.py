@@ -17,7 +17,7 @@ Base lines may list the 64 codons in any order as long as each appears
 exactly once, and may use DNA (T) or RNA (U) spelling. The Starts line is
 optional; '-' marks a non-start. Input is case-insensitive.
 
-Internally everything is held in RNA spelling: mapping keys are AUCG codons
+Internally everything is held in RNA spelling: codons are spelled in AUCG
 and the 21 product symbols are the 20 one-letter amino-acid codes plus '*'
 for stop.
 """
@@ -46,30 +46,6 @@ ALL_CODONS = tuple(
 )
 
 
-def normalize_alphabet(word: str, direction: str) -> str:
-    """Convert between DNA and RNA spelling (T <-> U), uppercasing the input.
-
-    `direction` is "dna-to-rna" or "rna-to-dna"; letters outside the source
-    alphabet raise UnknownLetterError. Applying one direction and then the
-    other returns the uppercased original.
-    """
-    if direction == "dna-to-rna":
-        source, table = "ATCG", str.maketrans("T", "U")
-    elif direction == "rna-to-dna":
-        source, table = "AUCG", str.maketrans("U", "T")
-    else:
-        raise InvalidParamsError(
-            f"direction must be 'dna-to-rna' or 'rna-to-dna', got {direction!r}"
-        )
-    word = word.upper()
-    for pos, letter in enumerate(word):
-        if letter not in source:
-            raise UnknownLetterError(
-                f"letter {letter!r} at position {pos} is not one of {source}"
-            )
-    return word.translate(table)
-
-
 def codon_index(codon: str) -> int:
     """Canonical index 0..63 of an RNA codon (U=0, C=1, A=2, G=3 per slot)."""
     if len(codon) != 3:
@@ -79,13 +55,6 @@ def codon_index(codon: str) -> int:
     except KeyError as exc:
         raise UnknownLetterError(f"{exc.args[0]!r} in {codon!r} is not an RNA base") from None
     return 16 * b1 + 4 * b2 + b3
-
-
-def codon_from_index(index: int) -> str:
-    """Inverse of codon_index."""
-    if not 0 <= index < 64:
-        raise InvalidParamsError(f"codon index must be in 0..63, got {index}")
-    return ALL_CODONS[index]
 
 
 @dataclass(frozen=True)
@@ -115,10 +84,6 @@ class GeneticCode:
         codon = codon.upper().replace("T", "U")
         return self.aas[codon_index(codon)]
 
-    def mapping(self) -> dict[str, str]:
-        """The full codon -> product dictionary (RNA spelling, index order)."""
-        return {codon: self.aas[i] for i, codon in enumerate(ALL_CODONS)}
-
     @property
     def stop_codons(self) -> tuple[str, ...]:
         return tuple(c for i, c in enumerate(ALL_CODONS) if self.aas[i] == STOP)
@@ -134,9 +99,6 @@ class GeneticCode:
 
 
 _FIELD_NAMES = ("name", "id", "AAs", "Starts", "Base1", "Base2", "Base3")
-_WIDE_FIELDS = ("AAs", "Starts", "Base1", "Base2", "Base3")
-
-
 _CANONICAL_FIELD = {name.lower(): name for name in _FIELD_NAMES}
 
 

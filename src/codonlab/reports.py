@@ -4,7 +4,8 @@ Builders assemble plain dicts with stable key order. Each command has two
 layouts, a text document (lines, (headers, rows) tables and runs of
 preformatted lines) and one CSV table, and a JSON emitter: indented
 json.dumps, except that count (one class per line) and grover simulate (the
-trace joined from float reprs, as json.dumps spells it) each have their own.
+trace spelled from float reprs, as json.dumps spells it) stream their long
+list, preformatted item by item, after the indented head.
 Output comes chunk by chunk, so a report whose rows are generated on demand
 (the classes of a count) is never held whole.
 Floats are rounded to 12 significant digits at build time, so every format
@@ -95,6 +96,15 @@ def _json(report):
     yield json.dumps(report, indent=2) + "\n"
 
 
+def _json_with_list(head, key, items):
+    """`head` as indented JSON, closed by the field `key`: a list of preformatted items."""
+    return itertools.chain(
+        [json.dumps(head, indent=2)[:-2] + f',\n  "{key}": [\n    '],
+        _chunked(items, ",\n    "),
+        ["\n  ]\n}\n"],
+    )
+
+
 # --- count ---------------------------------------------------------------
 
 
@@ -166,18 +176,16 @@ def _count_json(report):
     head = {key: value for key, value in report.items() if key != "classes"}
     head["partition_identity_holds"] = _count_survey(report)[0]
     letters = [json.dumps(letter)[1:-1] for letter in classes.alphabet]
-    rows = (f'    {{"word": "{word}", "counts": [{counts}], "size": {size}}}'
+    rows = (f'{{"word": "{word}", "counts": [{counts}], "size": {size}}}'
             for word, counts, size in classes.rows(letters, ", "))
-    return itertools.chain(
-        [json.dumps(head, indent=2)[:-2] + ',\n  "classes": [\n'],
-        _chunked(rows, ",\n"),
-        ["\n  ]\n}\n"],
-    )
+    return _json_with_list(head, "classes", rows)
 
 
 def _count_csv(report) -> tuple:
-    rows = report["classes"].rows(sep=":") if "classes" in report else ()
-    return ("word", "counts", "size"), rows
+    if "classes" not in report:
+        keys = ("k", "r", "arrangements", "multiset_count")
+        return ("quantity", "value"), [(key, report[key]) for key in keys]
+    return ("word", "counts", "size"), report["classes"].rows(sep=":")
 
 
 # --- analyze ---------------------------------------------------------------
@@ -241,6 +249,15 @@ def build_analyze_report(code: GeneticCode, source: str) -> dict:
     }
 
 
+def _class_rows(report, joiner) -> list:
+    """The six class columns of both analyze tables, codons and products joined by `joiner`."""
+    return [
+        (c["word"], str(c["size"]), joiner.join(c["codons"]), joiner.join(c["products"]),
+         _fmt(c["coherent"]), _fmt(c["coherent_excluding_stop"]))
+        for c in report["symmetry"]["classes"]
+    ]
+
+
 def _analyze_text(report) -> list:
     code = report["code"]
     sym = report["symmetry"]
@@ -248,17 +265,6 @@ def _analyze_text(report) -> list:
     prefix = report["prefix"]
     code_id = "-" if code["id"] is None else code["id"]
     profile = ", ".join(f"{n}x size {s}" for s, n in sym["size_profile"].items())
-    class_rows = [
-        (
-            c["word"],
-            str(c["size"]),
-            ",".join(c["codons"]),
-            ",".join(c["products"]),
-            _fmt(c["coherent"]),
-            _fmt(c["coherent_excluding_stop"]),
-        )
-        for c in sym["classes"]
-    ]
     prefix_rows = [
         (
             e["prefix"],
@@ -285,7 +291,8 @@ def _analyze_text(report) -> list:
         f"  violation fraction:          {_fmt(violations['fraction'])}"
         f" (excluding stop: {_fmt(violations['fraction_excluding_stop'])})",
         "",
-        (("word", "size", "codons", "products", "coherent", "coherent-excl-stop"), class_rows),
+        (("word", "size", "codons", "products", "coherent", "coherent-excl-stop"),
+         _class_rows(report, ",")),
         "",
         "Third-base significance (16 two-base prefixes)",
         f"  fully third-base-degenerate prefixes: {prefix['fully_degenerate_prefix_count']}",
@@ -297,18 +304,8 @@ def _analyze_text(report) -> list:
 
 
 def _analyze_csv(report) -> tuple:
-    rows = [
-        (
-            c["word"],
-            c["size"],
-            ";".join(c["codons"]),
-            ";".join(c["products"]),
-            _fmt(c["coherent"]),
-            _fmt(c["coherent_excluding_stop"]),
-        )
-        for c in report["symmetry"]["classes"]
-    ]
-    return ("word", "size", "codons", "products", "coherent", "coherent_excluding_stop"), rows
+    headers = ("word", "size", "codons", "products", "coherent", "coherent_excluding_stop")
+    return headers, _class_rows(report, ";")
 
 
 # --- grover ---------------------------------------------------------------
@@ -401,8 +398,7 @@ def _grover_json(report):
     if report["mode"] != "simulate":
         return _json(report)
     head = {key: value for key, value in report.items() if key != "trace"}
-    trace = ",\n    ".join(map(float.__repr__, report["trace"]))
-    return [json.dumps(head, indent=2)[:-2] + ',\n  "trace": [\n    ' + trace + "\n  ]\n}\n"]
+    return _json_with_list(head, "trace", map(float.__repr__, report["trace"]))
 
 
 # --- energy ---------------------------------------------------------------

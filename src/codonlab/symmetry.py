@@ -2,8 +2,8 @@
 
 A code is "coherent" on a content class when every member codon maps to the
 same product. Because stops occupy codons but are not amino acids, every
-metric is computed twice: once with stop as an ordinary 21st symbol and once
-with stop-producing codons excluded.
+metric is computed twice, by one rule: once with stop as an ordinary 21st
+symbol and once with stop-producing codons excluded.
 """
 
 import itertools
@@ -88,66 +88,50 @@ def codon_partition() -> tuple[tuple[MultisetClass, tuple[str, ...]], ...]:
     return tuple(sorted(pairs, key=lambda item: item[0].canonical_word))
 
 
-def _differing_pairs(products) -> int:
-    return sum(1 for a, b in itertools.combinations(products, 2) if a != b)
+@lru_cache(maxsize=1)
+def _index_partition() -> tuple[tuple[int, ...], ...]:
+    """codon_partition() as codon indices, to read products straight from `aas`."""
+    return tuple(tuple(map(codon_index, codons)) for _, codons in codon_partition())
 
 
-def _pair_count(m: int) -> int:
-    return m * (m - 1) // 2
+def _coherence(groups):
+    """Coherence over classes given as product tuples, as one rule for both conventions.
+
+    Returns the per-class coherent flags, their count, whether the classes map
+    one-to-one (each has exactly one product and no two share it), and the
+    total and differing same-class pairs.
+    """
+    flags = tuple(len(set(g)) <= 1 for g in groups)
+    count = sum(flags)
+    # with every class coherent, |all products| == |classes| iff none is empty and none shared
+    one_to_one = count == len(groups) == len(set().union(*groups))
+    total = sum(len(g) * (len(g) - 1) // 2 for g in groups)
+    differing = sum(a != b for g in groups for a, b in itertools.combinations(g, 2))
+    return flags, count, one_to_one, total, differing
 
 
 def partition_classes(code: GeneticCode) -> SymmetryReport:
     """Group the 64 codons by base content and measure the code's coherence."""
-    class_reports = []
-    for cls, codons in codon_partition():
-        products = tuple(code.translate(c) for c in codons)
-        non_stop = tuple(p for p in products if p != STOP)
-        class_reports.append(
-            ClassReport(
-                multiset=cls,
-                codons=codons,
-                products=products,
-                coherent=len(set(products)) == 1,
-                coherent_excluding_stop=len(set(non_stop)) <= 1,
-            )
-        )
-
-    n_classes = len(class_reports)
-    coherent_count = sum(r.coherent for r in class_reports)
-    coherent_count_excl = sum(r.coherent_excluding_stop for r in class_reports)
-
-    coherent_products = [r.products[0] for r in class_reports if r.coherent]
-    bijective = coherent_count == n_classes and len(set(coherent_products)) == n_classes
-
-    # Excluding stops: every class must keep at least one codon, stay coherent
-    # on the survivors, and the 20 surviving products must be pairwise distinct.
-    survivor_products = [
-        next((p for p in r.products if p != STOP), None) for r in class_reports
-    ]
-    bijective_excl = (
-        coherent_count_excl == n_classes
-        and all(p is not None for p in survivor_products)
-        and len(set(survivor_products)) == n_classes
+    aas = code.aas
+    products = [tuple(aas[i] for i in members) for members in _index_partition()]
+    coherent, count, bijective, pairs, violating = _coherence(products)
+    coherent_excl, count_excl, bijective_excl, pairs_excl, violating_excl = _coherence(
+        [tuple(p for p in g if p != STOP) for g in products]
     )
-
-    pairs_total = sum(_pair_count(len(r.codons)) for r in class_reports)
-    pairs_violating = sum(_differing_pairs(r.products) for r in class_reports)
-    non_stop_products = [
-        tuple(p for p in r.products if p != STOP) for r in class_reports
-    ]
-    pairs_total_excl = sum(_pair_count(len(p)) for p in non_stop_products)
-    pairs_violating_excl = sum(_differing_pairs(p) for p in non_stop_products)
-
+    per_class = tuple(
+        ClassReport(cls, codons, p, c, cx)
+        for (cls, codons), p, c, cx in zip(codon_partition(), products, coherent, coherent_excl)
+    )
     return SymmetryReport(
-        per_class=tuple(class_reports),
-        coherent_count=coherent_count,
-        coherent_count_excluding_stop=coherent_count_excl,
+        per_class=per_class,
+        coherent_count=count,
+        coherent_count_excluding_stop=count_excl,
         bijective_20_to_20=bijective,
         bijective_20_to_20_excluding_stop=bijective_excl,
-        pairs_total=pairs_total,
-        pairs_violating=pairs_violating,
-        pairs_total_excluding_stop=pairs_total_excl,
-        pairs_violating_excluding_stop=pairs_violating_excl,
+        pairs_total=pairs,
+        pairs_violating=violating,
+        pairs_total_excluding_stop=pairs_excl,
+        pairs_violating_excluding_stop=violating_excl,
     )
 
 
@@ -172,8 +156,8 @@ FULL_DEGENERACY_AMINO_CEILING = 16
 def prefix_significance(code: GeneticCode) -> PrefixReport:
     """Product sets per two-base prefix over the four third-base completions."""
     entries = []
-    for prefix in PREFIXES:
-        products = tuple(code.translate(prefix + b3) for b3 in INDEX_BASE_ORDER)
+    for i, prefix in enumerate(PREFIXES):
+        products = tuple(code.aas[4 * i : 4 * i + 4])  # the prefix's codons are consecutive
         distinct = tuple(sorted(set(products)))
         entries.append(PrefixEntry(prefix, products, distinct, len(distinct) == 1))
     return PrefixReport(
@@ -197,13 +181,12 @@ def random_code(seed: int, *, include_stops: bool = True, name: str | None = Non
 def symmetrized_code(code: GeneticCode, *, name: str | None = None) -> GeneticCode:
     """Replace every codon's product with its class representative's product.
 
-    The representative is the member with the lowest codon index, so the
-    result depends only on base content and has zero violations by
-    construction.
+    The representative is the member with the lowest codon index (the first,
+    as members are in index order), so the result depends only on base
+    content and has zero violations by construction.
     """
     aas = [None] * 64
-    for _, codons in codon_partition():
-        product = code.translate(min(codons, key=codon_index))
-        for codon in codons:
-            aas[codon_index(codon)] = product
+    for members in _index_partition():
+        for i in members:
+            aas[i] = code.aas[members[0]]
     return GeneticCode(name=name or f"{code.name}-symmetrized", id=None, aas="".join(aas))

@@ -19,9 +19,7 @@ from codonlab import (
     UnknownLetterError,
     builtin_code,
     builtin_standard_code,
-    codon_from_index,
     codon_index,
-    normalize_alphabet,
     parse_table,
     serialize_table,
 )
@@ -60,7 +58,7 @@ def test_standard_code_translates_all_codons_like_the_oracle():
     expected = oracle_mapping()
     for codon in ALL_CODONS:
         assert code.translate(codon) == expected[codon]
-    assert code.mapping() == expected
+    assert dict(zip(ALL_CODONS, code.aas)) == expected
 
 
 def test_standard_code_counts():
@@ -104,7 +102,6 @@ def test_codon_index_is_a_bijection():
     seen = set()
     for i, codon in enumerate(ALL_CODONS):
         assert codon_index(codon) == i
-        assert codon_from_index(i) == codon
         seen.add(i)
     assert seen == set(range(64))
 
@@ -120,33 +117,6 @@ def test_codon_index_rejects_bad_input():
         codon_index("AU")
     with pytest.raises(UnknownLetterError):
         codon_index("ATG")  # DNA spelling is not an index key
-    with pytest.raises(InvalidParamsError):
-        codon_from_index(64)
-    with pytest.raises(InvalidParamsError):
-        codon_from_index(-1)
-
-
-# --- alphabet normalization -------------------------------------------------
-
-
-def test_normalize_directions():
-    assert normalize_alphabet("acgt", "dna-to-rna") == "ACGU"
-    assert normalize_alphabet("ACGU", "rna-to-dna") == "ACGT"
-
-
-def test_normalize_round_trips():
-    for codon in ALL_CODONS:
-        dna = normalize_alphabet(codon, "rna-to-dna")
-        assert normalize_alphabet(dna, "dna-to-rna") == codon
-
-
-def test_normalize_rejects_cross_alphabet_letters():
-    with pytest.raises(UnknownLetterError):
-        normalize_alphabet("AUG", "dna-to-rna")  # U is not a DNA letter
-    with pytest.raises(UnknownLetterError):
-        normalize_alphabet("ATG", "rna-to-dna")
-    with pytest.raises(InvalidParamsError):
-        normalize_alphabet("ATG", "sideways")
 
 
 # --- parsing ----------------------------------------------------------------
@@ -164,7 +134,7 @@ def test_parse_accepts_rna_spelling_and_mixed_case():
         line.replace("T", "U") if line.startswith("Base") else line
         for line in STANDARD_TABLE_TEXT.splitlines()
     )
-    assert parse_table(text).mapping() == builtin_standard_code().mapping()
+    assert parse_table(text).aas == builtin_standard_code().aas
     lowered = "\n".join(
         line.lower() if line.startswith(("Base", "AAs", "Starts")) else line
         for line in STANDARD_TABLE_TEXT.splitlines()
@@ -204,7 +174,7 @@ def test_parse_without_optional_fields():
     assert code.name == "Custom"
     assert code.id is None
     assert code.starts == frozenset()
-    assert code.mapping() == oracle_mapping()
+    assert dict(zip(ALL_CODONS, code.aas)) == oracle_mapping()
 
 
 def test_parse_ignores_blank_lines():

@@ -142,6 +142,26 @@ def test_count_refuses_results_past_the_int_digit_limit():
         assert code == 0 and str(10 ** (limit - 1)) in out
 
 
+@pytest.mark.parametrize("env_limit, bound", [("0", 4300), ("640", 640)])
+def test_count_digit_bound_is_fixed_and_respects_a_lower_interpreter_limit(env_limit, bound):
+    # 0 turns the interpreter's limit off, which leaves the fixed bound; 640 is below it
+    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": env_limit}
+    argv = [sys.executable, "-m", "codonlab", "count", "--k", "10", "--skip-classes", "--r"]
+    refused = subprocess.run([*argv, str(bound)], capture_output=True, env=env, timeout=60)
+    assert refused.returncode == 3 and refused.stdout == b""
+    assert refused.stderr.startswith(b"error:")
+    printed = subprocess.run([*argv, str(bound - 1)], capture_output=True, env=env, timeout=60)
+    assert printed.returncode == 0
+    assert str(10 ** (bound - 1)).encode() in printed.stdout
+
+
+def test_count_skip_classes_csv_carries_both_counts():
+    code, out, _ = run_cli("count", "--k", "4", "--r", "3", "--skip-classes", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["quantity,value", "k,4", "r,3", "arrangements,64",
+                                "multiset_count,20"]
+
+
 def test_count_k_1_bounds_r_by_the_cap():
     code, out, err = run_cli("count", "--k", "1", "--r", "10", "--cap", "10", "--format", "csv")
     assert code == 3 and out == ""

@@ -9,6 +9,8 @@ import itertools
 from collections import Counter, defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codonlab import (
     ALL_CODONS,
@@ -23,6 +25,7 @@ from codonlab import (
     random_code,
     symmetrized_code,
 )
+from codonlab.genetic_code import PRODUCT_SYMBOLS
 from codonlab.symmetry import FULL_DEGENERACY_AMINO_CEILING, PREFIXES
 
 
@@ -176,6 +179,126 @@ def test_random_code_is_seed_deterministic():
 def test_random_code_without_stops():
     code = random_code(5, include_stops=False)
     assert STOP not in code.aas
+
+
+def oracle_report(code):
+    """Every SymmetryReport field, straight from the sorted-letter grouping."""
+    classes = []
+    for word, members in sorted(oracle_partition().items()):
+        products = tuple(code.translate(c) for c in members)
+        sense = [p for p in products if p != STOP]
+        classes.append((word, tuple(members), products,
+                        len(set(products)) == 1, len(set(sense)) <= 1))
+    pairs = {}
+    for excluding_stop in (False, True):
+        total = differing = 0
+        for _, members, products, _, _ in classes:
+            kept = [p for p in products if not (excluding_stop and p == STOP)]
+            for a, b in itertools.combinations(kept, 2):
+                total += 1
+                differing += a != b
+        pairs[excluding_stop] = total, differing
+    # one-to-one: each class yields exactly one product, and no two classes share it
+    images = [set(products) for _, _, products, _, _ in classes]
+    sense_images = [image - {STOP} for image in images]
+    return {
+        "per_class": classes,
+        "coherent_count": sum(c[3] for c in classes),
+        "coherent_count_excluding_stop": sum(c[4] for c in classes),
+        "bijective_20_to_20": all(len(i) == 1 for i in images)
+        and len(set().union(*images)) == 20,
+        "bijective_20_to_20_excluding_stop": all(len(i) == 1 for i in sense_images)
+        and len(set().union(*sense_images)) == 20,
+        "pairs": pairs[False],
+        "pairs_excluding_stop": pairs[True],
+    }
+
+
+def assert_matches_oracle(code):
+    report = partition_classes(code)
+    oracle = oracle_report(code)
+    assert [
+        (c.multiset.canonical_word, c.codons, c.products, c.coherent, c.coherent_excluding_stop)
+        for c in report.per_class
+    ] == oracle["per_class"]
+    assert report.coherent_count == oracle["coherent_count"]
+    assert report.coherent_count_excluding_stop == oracle["coherent_count_excluding_stop"]
+    assert report.bijective_20_to_20 == oracle["bijective_20_to_20"]
+    assert report.bijective_20_to_20_excluding_stop == oracle["bijective_20_to_20_excluding_stop"]
+    assert (report.pairs_total, report.pairs_violating) == oracle["pairs"]
+    total, differing = oracle["pairs_excluding_stop"]
+    assert (report.pairs_total_excluding_stop, report.pairs_violating_excluding_stop) == (
+        total, differing)
+    assert report.fraction == oracle["pairs"][1] / oracle["pairs"][0]
+    assert report.fraction_excluding_stop == (differing / total if total else 0.0)
+    return report
+
+
+def per_class_aas(products):
+    """Class i (sorted-letter order) -> products[i], as a list indexed by codon."""
+    partition = oracle_partition()
+    aas = [None] * 64
+    for product, word in zip(products, sorted(partition)):
+        for codon in partition[word]:
+            aas[ALL_CODONS.index(codon)] = product
+    return aas
+
+
+def with_stops(aas, codons):
+    aas = list(aas)
+    for codon in codons:
+        aas[ALL_CODONS.index(codon)] = STOP
+    return GeneticCode(name="corner", id=None, aas="".join(aas))
+
+
+def test_one_product_per_class_is_one_to_one_in_both_conventions():
+    report = assert_matches_oracle(with_stops(per_class_aas(AMINO_ACIDS), []))
+    assert report.bijective_20_to_20 and report.bijective_20_to_20_excluding_stop
+    assert report.pairs_violating == report.pairs_violating_excluding_stop == 0
+
+
+def test_a_stop_in_a_size3_class_keeps_only_the_excluding_stop_bijection():
+    report = assert_matches_oracle(with_stops(per_class_aas(AMINO_ACIDS), ["AAC"]))
+    assert not report.bijective_20_to_20
+    assert report.bijective_20_to_20_excluding_stop
+    assert report.coherent_count == 19 and report.coherent_count_excluding_stop == 20
+
+
+def test_a_stopped_singleton_class_keeps_no_codon_excluding_stop():
+    report = assert_matches_oracle(with_stops(per_class_aas(AMINO_ACIDS), ["AAA"]))
+    assert report.bijective_20_to_20  # stop is the 20th distinct symbol
+    assert not report.bijective_20_to_20_excluding_stop
+
+
+def test_all_stop_code_has_no_pairs_excluding_stop():
+    report = assert_matches_oracle(GeneticCode(name="stops", id=None, aas=STOP * 64))
+    assert report.pairs_total_excluding_stop == 0
+    assert report.fraction_excluding_stop == 0.0
+    assert report.coherent_count == report.coherent_count_excluding_stop == 20
+    assert not report.bijective_20_to_20 and not report.bijective_20_to_20_excluding_stop
+
+
+@st.composite
+def codes(draw):
+    """A product per class over 1 to 21 symbols, then any number of codons redrawn."""
+    symbols = draw(st.permutations(PRODUCT_SYMBOLS))[: draw(st.integers(1, 21))]
+    if len(symbols) >= 20 and draw(st.booleans()):
+        per_class = draw(st.permutations(symbols))[:20]  # one-to-one before the redraws
+    else:
+        per_class = draw(st.lists(st.sampled_from(symbols), min_size=20, max_size=20))
+    aas = per_class_aas(per_class)
+    # no redraw, one (a lone stop keeps the excluding-stop bijection) or many
+    redrawn = draw(st.dictionaries(st.integers(0, 63), st.sampled_from(symbols),
+                                   max_size=draw(st.sampled_from((0, 1, 64)))))
+    for index, product in redrawn.items():
+        aas[index] = product
+    return GeneticCode(name="drawn", id=None, aas="".join(aas))
+
+
+@given(codes())
+@settings(max_examples=200, deadline=None)
+def test_report_matches_oracle_on_drawn_codes(code):
+    assert_matches_oracle(code)
 
 
 def test_zero_violation_iff_all_classes_coherent():
