@@ -24,16 +24,51 @@ from .grover import DEFAULT_SIM_CAP
 from .physics import PhysicalParams
 from .symmetry import random_code
 
-DEFAULT_SCALE_FACTOR = 3.0  # codon length scale relative to a single nucleotide
+REQUIRED = object()  # the default of an option that a run cannot do without
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", "-f", choices=("text", "json", "csv"), default=None,
-                        help="output format (default text)")
-    parser.add_argument("--output", "-o", default=None, metavar="PATH",
-                        help="write the report to PATH instead of stdout")
-    parser.add_argument("--config", "-c", default=None, metavar="PATH",
-                        help="JSON file with option defaults; explicit flags win")
+# command -> (help, {option: (kind, default, help[, argparse settings])}): a kind is int,
+# float, str or bool (a flag that sets True); a default is a value, None or REQUIRED.
+# A command of several modes has None for options; each mode is a command of its own.
+COMMANDS = {
+    "count": ("count and enumerate word content classes", {
+        "k": (int, REQUIRED, "alphabet size"),
+        "r": (int, REQUIRED, "word length"),
+        "alphabet": (str, None, "k distinct letters to enumerate over (default A, B, C, ...)"),
+        "cap": (int, DEFAULT_CLASS_CAP, "class enumeration cap"),
+        "skip_classes": (bool, False, "emit the two counts only, without enumerating classes"),
+    }),
+    "analyze": ("partition a genetic code and measure coherence", {
+        "builtin": (str, None, f"built-in table name ({', '.join(sorted(BUILTIN_TABLE_TEXTS))})"),
+        "table": (str, None, "translation-table file", {"metavar": "PATH"}),
+        "random_seed": (int, None, "analyze a seeded synthetic random code instead of a table"),
+    }),
+    "grover": ("query-count relations and search simulation", None),
+    "grover solve-n": ("database size reachable with q queries", {
+        "q": (int, REQUIRED, "query count"),
+    }),
+    "grover solve-q": ("query count needed for database size n", {
+        "n": (float, REQUIRED, "database size (real, >= 1)"),
+    }),
+    "grover simulate": ("exact two-amplitude simulation of the search", {
+        "n": (int, REQUIRED, "database size (integer, >= 2)"),
+        "q": (int, REQUIRED, "iterations to apply"),
+        "marked": (int, 0, "marked index"),
+        "cap": (int, DEFAULT_SIM_CAP, "simulation cap on both n and q"),
+    }),
+    "energy": ("uncertainty momentum/energy estimates (CGS)", {
+        "hbar": (float, PhysicalParams.hbar, "erg*s"),
+        "delta_x": (float, PhysicalParams.delta_x, "cm"),
+        "mass": (float, PhysicalParams.mass, "g"),
+        "hbond": (float, PhysicalParams.hbond_energy, "hydrogen-bond energy, erg"),
+        "scale": (float, 3.0, "length-scale factor to compare against"),  # a codon is 3 bases
+    }),
+}
+# the options every command takes after its own, each with a one-letter flag too
+_COMMON = {
+    "format": (str, "text", "output format", {"choices": ("text", "json", "csv")}),
+    "output": (str, None, "write the report to PATH instead of stdout", {"metavar": "PATH"}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,60 +78,35 @@ def build_parser() -> argparse.ArgumentParser:
                     "search-query numerics and uncertainty-energy estimates.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", help="count and enumerate word content classes")
-    p.add_argument("--k", type=int, default=None, help="alphabet size")
-    p.add_argument("--r", type=int, default=None, help="word length")
-    p.add_argument("--alphabet", default=None,
-                   help="k distinct letters to enumerate over (default A, B, C, ...)")
-    p.add_argument("--cap", type=int, default=None,
-                   help=f"class enumeration cap (default {DEFAULT_CLASS_CAP})")
-    p.add_argument("--skip-classes", action="store_const", const=True, default=None,
-                   help="emit the two counts only, without enumerating classes")
-    _add_common(p)
-
-    p = sub.add_parser("analyze", help="partition a genetic code and measure coherence")
-    p.add_argument("--builtin", default=None,
-                   help=f"built-in table name ({', '.join(sorted(BUILTIN_TABLE_TEXTS))})")
-    p.add_argument("--table", default=None, metavar="PATH", help="translation-table file")
-    p.add_argument("--random-seed", type=int, default=None,
-                   help="analyze a seeded synthetic random code instead of a table")
-    _add_common(p)
-
-    p = sub.add_parser("grover", help="query-count relations and search simulation")
-    gsub = p.add_subparsers(dest="mode", required=True)
-    g = gsub.add_parser("solve-n", help="database size reachable with q queries")
-    g.add_argument("--q", type=int, default=None, help="query count")
-    _add_common(g)
-    g = gsub.add_parser("solve-q", help="query count needed for database size n")
-    g.add_argument("--n", type=float, default=None, help="database size (real, >= 1)")
-    _add_common(g)
-    g = gsub.add_parser("simulate", help="exact two-amplitude simulation of the search")
-    g.add_argument("--n", type=int, default=None, help="database size (integer, >= 2)")
-    g.add_argument("--q", type=int, default=None, help="iterations to apply")
-    g.add_argument("--marked", type=int, default=None, help="marked index (default 0)")
-    g.add_argument("--cap", type=int, default=None,
-                   help=f"simulation cap on both n and q (default {DEFAULT_SIM_CAP})")
-    _add_common(g)
-
-    p = sub.add_parser("energy", help="uncertainty momentum/energy estimates (CGS)")
-    p.add_argument("--hbar", type=float, default=None, help="erg*s")
-    p.add_argument("--delta-x", type=float, default=None, dest="delta_x", help="cm")
-    p.add_argument("--mass", type=float, default=None, help="g")
-    p.add_argument("--hbond", type=float, default=None, help="hydrogen-bond energy, erg")
-    p.add_argument("--scale", type=float, default=None,
-                   help=f"length-scale factor to compare against (default {DEFAULT_SCALE_FACTOR})")
-    _add_common(p)
+    subparsers = {"": parser.add_subparsers(dest="command", required=True)}
+    for command, (summary, options) in COMMANDS.items():
+        group, _, name = command.rpartition(" ")
+        p = subparsers[group].add_parser(name, help=summary)
+        if options is None:
+            subparsers[command] = p.add_subparsers(dest="mode", required=True)
+            continue
+        for option, (kind, default, text, *extra) in {**options, **_COMMON}.items():
+            settings = dict(*extra)
+            if kind is bool:
+                settings.update(action="store_const", const=True)
+            else:
+                settings.update(type=kind)
+                if default not in (None, REQUIRED):
+                    text = f"{text} (default {default})"
+            flags = [f"-{option[0]}"] if option in _COMMON else []
+            p.add_argument("--" + option.replace("_", "-"), *flags, help=text, **settings)
+        p.add_argument("--config", "-c", metavar="PATH",
+                       help="JSON file with option defaults; explicit flags win")
     return parser
 
 
-def _config_getter(args, parser):
-    """Three-level option lookup: explicit flag, then config file, then default.
+def _options(args, parser, command) -> dict:
+    """Every option of `command`: its flag, else its config-file value, else its default.
 
-    Config keys are checked against the chosen subcommand's options when the
-    file is read; values are checked for type when they are looked up.
+    Config keys are checked against the command's options when the file is read; every
+    value is then checked for type, and the required options for presence, before any work.
     """
+    options = {**COMMANDS[command][1], **_COMMON}
     config = {}
     if args.config is not None:
         try:
@@ -106,21 +116,22 @@ def _config_getter(args, parser):
             parser.error(f"cannot read config file: {exc}")
         if not isinstance(config, dict):
             parser.error("config file must hold a JSON object")
-        options = set(vars(args)) - {"command", "mode", "config"}
-        unknown = sorted(set(config) - options)
+        unknown = sorted(set(config) - set(options))
         if unknown:
             parser.error(f"config file has unknown option(s) {', '.join(map(repr, unknown))}"
                          f" for this command")
-
-    def get(name, kind=str, default=None):
-        value = getattr(args, name, None)
+    values = {}
+    for name, (kind, default, *_) in options.items():
+        value = getattr(args, name)
         if value is None:
             value = config.get(name)  # a JSON null counts as absent
-        if value is None:
+        if value is None and default is not REQUIRED:
             value = default
-        return None if value is None else _convert(value, kind, name)
-
-    return get
+        values[name] = None if value is None else _convert(value, kind, name)
+    required = [name for name, (_, default, *_) in options.items() if default is REQUIRED]
+    if any(values[name] is None for name in required):
+        parser.error(f"{command} requires {' and '.join('--' + name for name in required)}")
+    return values
 
 
 def _convert(value, kind, name):
@@ -147,69 +158,43 @@ def _convert(value, kind, name):
         raise InvalidParamsError(f"{name} must be {noun}, got {value!r}") from None
 
 
-def _run_count(get, parser) -> dict:
-    k, r = get("k", int), get("r", int)
-    if k is None or r is None:
-        parser.error("count requires --k and --r")
-    return reports.build_count_report(
-        k,
-        r,
-        alphabet=get("alphabet"),
-        cap=get("cap", int, DEFAULT_CLASS_CAP),
-        include_classes=not get("skip_classes", bool, False),
-    )
-
-
-def _run_analyze(get, parser) -> dict:
-    kinds = {"builtin": str, "table": str, "random_seed": int}
-    sources = [name for name, kind in kinds.items() if get(name, kind) is not None]
-    if len(sources) != 1:
-        parser.error("analyze requires exactly one of --builtin, --table, --random-seed")
-    if sources[0] == "builtin":
-        name = get("builtin")
-        code, source = builtin_code(name), f"builtin:{name}"
-    elif sources[0] == "table":
-        path = get("table")
-        try:
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
-        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
-            raise InvalidParamsError(f"cannot read table file: {exc}") from exc
-        code, source = parse_table(text), f"table:{path}"
-    else:
-        seed = get("random_seed", int)
-        code, source = random_code(seed), f"random-seed:{seed}"
-    return reports.build_analyze_report(code, source)
-
-
-def _run_grover(get, parser, mode) -> dict:
-    if mode == "solve-n":
-        q = get("q", int)
-        if q is None:
-            parser.error("grover solve-n requires --q")
-        return reports.build_grover_solve_n_report(q)
-    if mode == "solve-q":
-        n = get("n", float)
-        if n is None:
-            parser.error("grover solve-q requires --n")
-        return reports.build_grover_solve_q_report(n)
-    n, q = get("n", int), get("q", int)
-    if n is None or q is None:
-        parser.error("grover simulate requires --n and --q")
-    return reports.build_grover_simulate_report(
-        n, q, get("marked", int, 0), cap=get("cap", int, DEFAULT_SIM_CAP)
-    )
-
-
-def _run_energy(get, parser) -> dict:
-    params = PhysicalParams(
-        hbar=get("hbar", float, PhysicalParams.hbar),
-        delta_x=get("delta_x", float, PhysicalParams.delta_x),
-        mass=get("mass", float, PhysicalParams.mass),
-        hbond_energy=get("hbond", float, PhysicalParams.hbond_energy),
-    )
-    scale = get("scale", float, DEFAULT_SCALE_FACTOR)
-    return reports.build_energy_report(params, scale)
+def _report(command, options, parser) -> dict:
+    """Build `command`'s report from its resolved options."""
+    if command == "count":
+        return reports.build_count_report(
+            options["k"],
+            options["r"],
+            alphabet=options["alphabet"],
+            cap=options["cap"],
+            include_classes=not options["skip_classes"],
+        )
+    if command == "analyze":
+        name, path, seed = options["builtin"], options["table"], options["random_seed"]
+        if [name, path, seed].count(None) != 2:
+            parser.error("analyze requires exactly one of --builtin, --table, --random-seed")
+        if name is not None:
+            code, source = builtin_code(name), f"builtin:{name}"
+        elif path is not None:
+            try:
+                path.encode("utf-8")  # the report prints the path, so it must be UTF-8
+                with open(path, encoding="utf-8") as handle:
+                    text = handle.read()
+            except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
+                raise InvalidParamsError(f"cannot read table file: {exc}") from exc
+            code, source = parse_table(text), f"table:{path}"
+        else:
+            code, source = random_code(seed), f"random-seed:{seed}"
+        return reports.build_analyze_report(code, source)
+    if command == "grover solve-n":
+        return reports.build_grover_solve_n_report(options["q"])
+    if command == "grover solve-q":
+        return reports.build_grover_solve_q_report(options["n"])
+    if command == "grover simulate":
+        return reports.build_grover_simulate_report(
+            options["n"], options["q"], options["marked"], cap=options["cap"]
+        )
+    params = PhysicalParams(options["hbar"], options["delta_x"], options["mass"], options["hbond"])
+    return reports.build_energy_report(params, options["scale"])
 
 
 def _write(chunks, output) -> None:
@@ -260,18 +245,15 @@ def _write(chunks, output) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    get = _config_getter(args, parser)
+    command = " ".join(filter(None, (args.command, getattr(args, "mode", None))))
     try:
-        if args.command == "count":
-            report = _run_count(get, parser)
-        elif args.command == "analyze":
-            report = _run_analyze(get, parser)
-        elif args.command == "grover":
-            report = _run_grover(get, parser, args.mode)
-        else:
-            report = _run_energy(get, parser)
-        _write(reports.emit(report, fmt=get("format", default="text")), get("output"))
+        options = _options(args, parser, command)
+        report = _report(command, options, parser)
+        _write(reports.emit(report, fmt=options["format"]), options["output"])
     except CodonLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            print(f"error: {exc}", file=sys.stderr)
+        except OSError:  # a closed stderr: point it at nothing, as _write does stdout
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
         return exc.exit_code
     return 0

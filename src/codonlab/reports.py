@@ -96,6 +96,15 @@ def _json(report):
     yield json.dumps(report, indent=2) + "\n"
 
 
+def _leaves(report):
+    """(key, value) of every scalar field, nested ones too, in report order; no command or mode."""
+    for key, value in report.items():
+        if isinstance(value, dict):
+            yield from _leaves(value)
+        elif key not in ("command", "mode"):
+            yield key, value
+
+
 def _json_with_list(head, key, items):
     """`head` as indented JSON, closed by the field `key`: a list of preformatted items."""
     return itertools.chain(
@@ -183,8 +192,7 @@ def _count_json(report):
 
 def _count_csv(report) -> tuple:
     if "classes" not in report:
-        keys = ("k", "r", "arrangements", "multiset_count")
-        return ("quantity", "value"), [(key, report[key]) for key in keys]
+        return ("quantity", "value"), _leaves(report)
     return ("word", "counts", "size"), report["classes"].rows(sep=":")
 
 
@@ -380,14 +388,9 @@ def _grover_text(report) -> list:
 
 
 def _grover_csv(report) -> tuple:
-    mode = report["mode"]
-    if mode == "solve-n":
-        return ("q", "n_solved"), [(report["q"], _fmt(report["n_solved"]))]
-    if mode == "solve-q":
-        return (
-            ("n", "q_solved", "q_rounded"),
-            [(_fmt(report["n"]), _fmt(report["q_solved"]), report["q_rounded"])],
-        )
+    if report["mode"] != "simulate":  # one row of the report's fields
+        keys, values = zip(*_leaves(report))
+        return keys, [map(_fmt, values)]
     trace = report["trace"]
     rows = zip(range(len(trace)), map(_format_float, trace))
     return ("iteration", "marked_probability"), rows
@@ -446,23 +449,11 @@ def _energy_text(report) -> list:
 
 
 def _energy_csv(report) -> tuple:
-    p = report["params"]
-    s = report["scale"]
-    rows = [
-        ("hbar_erg_s", _fmt(p["hbar"])),
-        ("delta_x_cm", _fmt(p["delta_x"])),
-        ("mass_g", _fmt(p["mass"])),
-        ("hbond_energy_erg", _fmt(p["hbond_energy"])),
-        ("momentum_uncertainty_g_cm_s", _fmt(report["momentum_uncertainty"])),
-        ("fluctuation_energy_erg", _fmt(report["fluctuation_energy_erg"])),
-        ("fluctuation_energy_ev", _fmt(report["fluctuation_energy_ev"])),
-        ("hbond_ratio", _fmt(report["hbond_ratio"])),
-        ("scale_factor", _fmt(s["factor"])),
-        ("energy_scaled_erg", _fmt(s["energy_scaled_erg"])),
-        ("energy_ratio", _fmt(s["energy_ratio"])),
-        ("scaled_to_hbond", _fmt(s["scaled_to_hbond"])),
-    ]
-    return ("quantity", "value"), rows
+    names = ("hbar_erg_s", "delta_x_cm", "mass_g", "hbond_energy_erg",
+             "momentum_uncertainty_g_cm_s", "fluctuation_energy_erg", "fluctuation_energy_ev",
+             "hbond_ratio", "scale_factor", "energy_scaled_erg", "energy_ratio", "scaled_to_hbond")
+    values = (_fmt(value) for _, value in _leaves(report))  # in the order of `names`
+    return ("quantity", "value"), zip(names, values, strict=True)
 
 
 # --- dispatch ---------------------------------------------------------------

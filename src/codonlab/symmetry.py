@@ -166,19 +166,17 @@ def prefix_significance(code: GeneticCode) -> PrefixReport:
     )
 
 
-def random_code(seed: int, *, include_stops: bool = True, name: str | None = None) -> GeneticCode:
+def random_code(seed: int) -> GeneticCode:
     """Deterministic pseudo-random code: same seed, same code.
 
-    Every codon gets an independent uniform product symbol; with
-    include_stops=False only amino acids are drawn.
+    Every codon gets an independent uniform product symbol, stop included.
     """
     rng = random.Random(seed)
-    symbols = PRODUCT_SYMBOLS if include_stops else PRODUCT_SYMBOLS[:-1]
-    aas = "".join(symbols[rng.randrange(len(symbols))] for _ in range(64))
-    return GeneticCode(name=name or f"random-{seed}", id=None, aas=aas)
+    aas = "".join(PRODUCT_SYMBOLS[rng.randrange(len(PRODUCT_SYMBOLS))] for _ in range(64))
+    return GeneticCode(name=f"random-{seed}", id=None, aas=aas)
 
 
-def symmetrized_code(code: GeneticCode, *, name: str | None = None) -> GeneticCode:
+def symmetrized_code(code: GeneticCode) -> GeneticCode:
     """Replace every codon's product with its class representative's product.
 
     The representative is the member with the lowest codon index (the first,
@@ -189,4 +187,4 @@ def symmetrized_code(code: GeneticCode, *, name: str | None = None) -> GeneticCo
     for members in _index_partition():
         for i in members:
             aas[i] = code.aas[members[0]]
-    return GeneticCode(name=name or f"{code.name}-symmetrized", id=None, aas="".join(aas))
+    return GeneticCode(name=f"{code.name}-symmetrized", id=None, aas="".join(aas))

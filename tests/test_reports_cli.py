@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,8 @@ from hypothesis import strategies as st
 
 import codonlab
 from codonlab import (
+    DEFAULT_CLASS_CAP,
+    DEFAULT_SIM_CAP,
     PhysicalParams,
     builtin_standard_code,
     class_size,
@@ -310,6 +313,25 @@ def test_analyze_missing_table_file():
     code, out, err = run_cli("analyze", "--table", "/no/such/file")
     assert code == 2 and out == ""
     assert "cannot read table file" in err
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_analyze_refuses_a_table_name_that_is_not_utf8(tmp_path, to_file):
+    # the report prints the name, which no UTF-8 output can hold
+    table = os.path.join(os.fsencode(tmp_path), b"x\xff.table")
+    try:
+        with open(table, "wb") as handle:
+            handle.write(STANDARD_TABLE_TEXT.encode())
+    except OSError:
+        pytest.skip("the filesystem refuses a file name that is not UTF-8")
+    output = ["-o", str(tmp_path / "out.txt")] if to_file else []
+    result = subprocess.run(
+        [sys.executable, "-m", "codonlab", "analyze", "--table", table, *output],
+        capture_output=True, timeout=60, env=dict(os.environ, PYTHONIOENCODING="utf-8"),
+    )
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr.startswith(b"error: cannot read table file")
+    assert os.listdir(os.fsencode(tmp_path)) == [b"x\xff.table"]
 
 
 def test_analyze_unknown_builtin():
@@ -607,6 +629,7 @@ def test_unknown_config_keys_exit_2(tmp_path, argv, config, unknown):
         (("grover", "simulate"), {"n": 4, "q": 1, "marked": 2, "cap": 8}),
         (("energy",), {"hbar": 1e-27, "delta_x": 3e-8, "mass": 1e-23, "hbond": 3e-13,
                        "scale": 2.0}),
+        (("count",), {"k": 3, "r": 2, "skip_classes": True}),
     ],
 )
 def test_config_accepts_every_option_of_its_subcommand(tmp_path, argv, config):
@@ -615,7 +638,11 @@ def test_config_accepts_every_option_of_its_subcommand(tmp_path, argv, config):
     path.write_text(json.dumps(dict(config, format="json", output=str(target))))
     code, out, err = run_cli(*argv, "--config", str(path))
     assert (code, out, err) == (0, "", "")
-    strict_json(target.read_text(encoding="utf-8"))
+    report = target.read_text(encoding="utf-8")
+    strict_json(report)
+    flags = ["--" + name.replace("_", "-") + ("" if value is True else f"={value}")
+             for name, value in config.items() if value is not False]
+    assert run_cli(*argv, *flags, "--format=json") == (0, report, "")
 
 
 def test_config_cannot_smuggle_bad_format(tmp_path):
@@ -685,6 +712,32 @@ def test_help_exits_zero():
     assert run_cli("count", "--help")[0] == 0
 
 
+# every option with a default, as the library or the runs define it
+HELP_DEFAULTS = {
+    ("count",): {"alphabet": "A, B, C, ...", "cap": DEFAULT_CLASS_CAP},
+    ("analyze",): {},
+    ("grover", "solve-n"): {},
+    ("grover", "solve-q"): {},
+    ("grover", "simulate"): {"marked": 0, "cap": DEFAULT_SIM_CAP},
+    ("energy",): {"hbar": PhysicalParams.hbar, "delta_x": PhysicalParams.delta_x,
+                  "mass": PhysicalParams.mass, "hbond": PhysicalParams.hbond_energy,
+                  "scale": 3.0},
+}
+
+
+@pytest.mark.parametrize("command, defaults", HELP_DEFAULTS.items())
+def test_help_names_every_option_default(monkeypatch, command, defaults):
+    monkeypatch.setenv("COLUMNS", "200")  # no wrapping inside a number such as 1.7e-08
+    code, out, _ = run_cli(*command, "--help")
+    assert code == 0
+    # whitespace normalised, as argparse wraps help differently across versions
+    options = " ".join(out.split()).split("options:", 1)[1]
+    # an entry starts "--name ARG, -n ARG" or, from Python 3.13, "--name, -n ARG"
+    entries = {entry.split()[0].rstrip(","): entry for entry in re.split(r" (?=--[a-z])", options)}
+    for name, default in dict(defaults, format="text").items():
+        assert f"(default {default})" in entries["--" + name.replace("_", "-")]
+
+
 def test_version_prints_the_package_version():
     assert run_cli("--version") == (0, f"codonlab {codonlab.__version__}\n", "")
     result = module_run(["--version"])
@@ -751,6 +804,26 @@ def test_reader_closing_stdout_early_exits_2_without_traceback():
     err = child.stderr.read().decode()
     assert child.wait(timeout=60) == 2
     assert err == "error: cannot write the report to stdout: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize(
+    "argv, stdout_too, expected",
+    [
+        (["count", "--k", "4", "--r", "3", "--cap", "5"], False, 3),
+        (["grover", "simulate", "--n", "2", "--q", "0"], True, 2),  # refused for its stdout
+    ],
+)
+def test_refusal_keeps_its_exit_code_when_stderr_is_closed(argv, stdout_too, expected):
+    read, write = os.pipe()
+    os.close(read)  # a reader that is gone: every write to the pipe fails
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "codonlab", *argv],
+            stdout=write if stdout_too else subprocess.DEVNULL, stderr=write, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert result.returncode == expected
 
 
 def test_subprocess_exit_codes():

@@ -176,11 +176,6 @@ def test_random_code_is_seed_deterministic():
     assert random_code(3).name == "random-3"
 
 
-def test_random_code_without_stops():
-    code = random_code(5, include_stops=False)
-    assert STOP not in code.aas
-
-
 def oracle_report(code):
     """Every SymmetryReport field, straight from the sorted-letter grouping."""
     classes = []
