@@ -104,7 +104,7 @@ def _options(args, parser, command) -> dict:
     """Every option of `command`: its flag, else its config-file value, else its default.
 
     Config keys are checked against the command's options when the file is read; every
-    value is then checked for type, and the required options for presence, before any work.
+    value is then checked for type and choices, the required ones for presence, before any work.
     """
     options = {**COMMANDS[command][1], **_COMMON}
     config = {}
@@ -121,13 +121,16 @@ def _options(args, parser, command) -> dict:
             parser.error(f"config file has unknown option(s) {', '.join(map(repr, unknown))}"
                          f" for this command")
     values = {}
-    for name, (kind, default, *_) in options.items():
+    for name, (kind, default, _, *extra) in options.items():
         value = getattr(args, name)
         if value is None:
             value = config.get(name)  # a JSON null counts as absent
         if value is None and default is not REQUIRED:
             value = default
         values[name] = None if value is None else _convert(value, kind, name)
+        choices = dict(*extra).get("choices")  # argparse checks a flag's; this, a config value's
+        if choices and values[name] not in choices:
+            raise InvalidParamsError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
     required = [name for name, (_, default, *_) in options.items() if default is REQUIRED]
     if any(values[name] is None for name in required):
         parser.error(f"{command} requires {' and '.join('--' + name for name in required)}")

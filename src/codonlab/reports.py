@@ -1,8 +1,8 @@
 """Report construction and deterministic rendering (text, JSON, CSV).
 
 Builders assemble plain dicts with stable key order. Each command has two
-layouts, a text document (lines, (headers, rows) tables and runs of
-preformatted lines) and one CSV table, and a JSON emitter: indented
+layouts, text (one line template per report, its fields the report's own
+keys, plus tables) and one CSV table, and a JSON emitter: indented
 json.dumps, except that count (one class per line) and grover simulate (the
 trace spelled from float reprs, as json.dumps spells it) stream their long
 list, preformatted item by item, after the indented head.
@@ -38,7 +38,7 @@ def _fmt(value) -> str:
         return "yes" if value else "no"
     if isinstance(value, float):
         return _format_float(value)
-    return str(value)
+    return "-" if value is None else str(value)  # None: a code without an id
 
 
 def _chunked(lines, sep="\n"):
@@ -50,31 +50,32 @@ def _chunked(lines, sep="\n"):
         lead = sep
 
 
-def _lines(document):
-    """A document's lines, left-aligning the string cells of each table.
+def _fields(report) -> dict:
+    """Every scalar field, nested ones too, by key in report order, formatted once.
 
-    A block is a line, a table or any other iterable of preformatted lines.
-    A table is (headers, rows), its column widths taken from the rows, or
-    (headers, rows, widths) for rows generated on demand.
+    Lists, a count's lazy classes, and the command and mode are left out.
     """
-    for block in document:
-        if isinstance(block, str):
-            yield block
-            continue
-        if not isinstance(block, tuple):
-            yield from block
-            continue
-        headers, rows, *given = block
-        widths = given[0] if given else [max(map(len, column)) for column in zip(headers, *rows)]
-        template = "  ".join(f"{{:<{width}}}" for width in widths)
-        yield template.format(*headers).rstrip()
-        for row in rows:
-            yield template.format(*row).rstrip()
+    fields = {}
+    for key, value in report.items():
+        if isinstance(value, dict):
+            fields.update(_fields(value))
+        elif key not in ("command", "mode") and isinstance(value, (str, int, float, type(None))):
+            fields[key] = _fmt(value)
+    return fields
 
 
-def _text(document):
-    yield from _chunked(_lines(document))
-    yield "\n"
+def _table(headers, rows, widths=None):
+    """A table's lines, each string cell left-aligned; the last column is never padded.
+
+    Column widths come from the rows, which must then be a list; rows
+    generated on demand come with their widths.
+    """
+    if widths is None:
+        widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    template = "  ".join(f"{{:<{width}}}" for width in widths)
+    yield template.format(*headers).rstrip()
+    for row in rows:
+        yield template.format(*row).rstrip()
 
 
 def _csv(headers, rows):
@@ -96,15 +97,6 @@ def _json(report):
     yield json.dumps(report, indent=2) + "\n"
 
 
-def _leaves(report):
-    """(key, value) of every scalar field, nested ones too, in report order; no command or mode."""
-    for key, value in report.items():
-        if isinstance(value, dict):
-            yield from _leaves(value)
-        elif key not in ("command", "mode"):
-            yield key, value
-
-
 def _json_with_list(head, key, items):
     """`head` as indented JSON, closed by the field `key`: a list of preformatted items."""
     return itertools.chain(
@@ -115,6 +107,14 @@ def _json_with_list(head, key, items):
 
 
 # --- count ---------------------------------------------------------------
+
+_COUNT_TEXT = (
+    "Content-class counting for k={k}, r={r}\n"
+    "  ordered words (k^r):  {arrangements}\n"
+    "  content classes:      {multiset_count}\n"
+)
+_COUNT_SKIPPED_TEXT = _COUNT_TEXT + "  classes:              skipped"
+_COUNT_CLASSES_TEXT = _COUNT_TEXT + "  partition identity:   {identity}\n"
 
 
 def build_count_report(
@@ -154,14 +154,9 @@ def _count_survey(report):
     return total == report["arrangements"], widest
 
 
-def _count_text(report) -> list:
-    document = [
-        f"Content-class counting for k={report['k']}, r={report['r']}",
-        f"  ordered words (k^r):  {report['arrangements']}",
-        f"  content classes:      {report['multiset_count']}",
-    ]
+def _count_text(report):
     if "classes" not in report:
-        return document + ["  classes:              skipped"]
+        return [_COUNT_SKIPPED_TEXT.format_map(_fields(report))]
     holds, widest = _count_survey(report)
     identity = "ok (class sizes sum to k^r)" if holds else "VIOLATED"
     r = report["r"]
@@ -169,8 +164,8 @@ def _count_text(report) -> list:
             for word, counts, size in report["classes"].rows())
     # every word has r letters; the last column is never padded, so its width is moot
     widths = (max(len("word"), r or len("(empty)")), max(len("counts"), widest), len("size"))
-    table = (("word", "counts", "size"), rows, widths)
-    return document + [f"  partition identity:   {identity}", "", table]
+    head = _COUNT_CLASSES_TEXT.format(identity=identity, **_fields(report))
+    return itertools.chain([head], _table(("word", "counts", "size"), rows, widths))
 
 
 def _count_json(report):
@@ -192,11 +187,36 @@ def _count_json(report):
 
 def _count_csv(report) -> tuple:
     if "classes" not in report:
-        return ("quantity", "value"), _leaves(report)
+        return ("quantity", "value"), _fields(report).items()
     return ("word", "counts", "size"), report["classes"].rows(sep=":")
 
 
 # --- analyze ---------------------------------------------------------------
+
+_ANALYZE_TEXT = (
+    "Genetic code: {name} (id {id}, {source})\n"
+    "  sense codons: {sense_codon_count}   stop codons: {stop_codon_count}"
+    "   distinct amino acids: {amino_acid_count}\n"
+    "\n"
+    "Base-content classes: {class_count} ({size_profile})\n"
+    "  coherent classes:            {coherent_count}"
+    " (excluding stop: {coherent_count_excluding_stop})\n"
+    "  one-to-one 20 -> 20:         {bijective_20_to_20}"
+    " (excluding stop: {bijective_20_to_20_excluding_stop})\n"
+    "  same-class pairs:            {pairs_total} (excluding stop: {pairs_total_excluding_stop})\n"
+    "  pairs differing in product:  {pairs_violating}"
+    " (excluding stop: {pairs_violating_excluding_stop})\n"
+    "  violation fraction:          {fraction} (excluding stop: {fraction_excluding_stop})\n"
+    "\n"
+    "{classes}\n"
+    "\n"
+    "Third-base significance (16 two-base prefixes)\n"
+    "  fully third-base-degenerate prefixes: {fully_degenerate_prefix_count}\n"
+    "  distinct amino acids (actual):        {amino_acid_count}\n"
+    "  ceiling if the third base never mattered: {full_degeneracy_amino_ceiling}\n"
+    "\n"
+    "{prefixes}"
+)
 
 
 def build_analyze_report(code: GeneticCode, source: str) -> dict:
@@ -267,12 +287,9 @@ def _class_rows(report, joiner) -> list:
 
 
 def _analyze_text(report) -> list:
-    code = report["code"]
-    sym = report["symmetry"]
-    violations = report["violations"]
-    prefix = report["prefix"]
-    code_id = "-" if code["id"] is None else code["id"]
-    profile = ", ".join(f"{n}x size {s}" for s, n in sym["size_profile"].items())
+    profile = ", ".join(f"{n}x size {s}" for s, n in report["symmetry"]["size_profile"].items())
+    classes = _table(("word", "size", "codons", "products", "coherent", "coherent-excl-stop"),
+                     _class_rows(report, ","))
     prefix_rows = [
         (
             e["prefix"],
@@ -280,35 +297,11 @@ def _analyze_text(report) -> list:
             ",".join(e["product_set"]),
             _fmt(e["fully_degenerate"]),
         )
-        for e in prefix["prefixes"]
+        for e in report["prefix"]["prefixes"]
     ]
-    return [
-        f"Genetic code: {code['name']} (id {code_id}, {report['source']})",
-        f"  sense codons: {code['sense_codon_count']}   stop codons: {code['stop_codon_count']}"
-        f"   distinct amino acids: {code['amino_acid_count']}",
-        "",
-        f"Base-content classes: {sym['class_count']} ({profile})",
-        f"  coherent classes:            {sym['coherent_count']}"
-        f" (excluding stop: {sym['coherent_count_excluding_stop']})",
-        f"  one-to-one 20 -> 20:         {_fmt(sym['bijective_20_to_20'])}"
-        f" (excluding stop: {_fmt(sym['bijective_20_to_20_excluding_stop'])})",
-        f"  same-class pairs:            {violations['pairs_total']}"
-        f" (excluding stop: {violations['pairs_total_excluding_stop']})",
-        f"  pairs differing in product:  {violations['pairs_violating']}"
-        f" (excluding stop: {violations['pairs_violating_excluding_stop']})",
-        f"  violation fraction:          {_fmt(violations['fraction'])}"
-        f" (excluding stop: {_fmt(violations['fraction_excluding_stop'])})",
-        "",
-        (("word", "size", "codons", "products", "coherent", "coherent-excl-stop"),
-         _class_rows(report, ",")),
-        "",
-        "Third-base significance (16 two-base prefixes)",
-        f"  fully third-base-degenerate prefixes: {prefix['fully_degenerate_prefix_count']}",
-        f"  distinct amino acids (actual):        {code['amino_acid_count']}",
-        f"  ceiling if the third base never mattered: {prefix['full_degeneracy_amino_ceiling']}",
-        "",
-        (("prefix", "products(U,C,A,G)", "distinct", "fully-degenerate"), prefix_rows),
-    ]
+    prefixes = _table(("prefix", "products(U,C,A,G)", "distinct", "fully-degenerate"), prefix_rows)
+    return [_ANALYZE_TEXT.format(size_profile=profile, classes="\n".join(classes),
+                                 prefixes="\n".join(prefixes), **_fields(report))]
 
 
 def _analyze_csv(report) -> tuple:
@@ -317,6 +310,19 @@ def _analyze_csv(report) -> tuple:
 
 
 # --- grover ---------------------------------------------------------------
+
+_QUERY_RELATION = "Query relation: (2q+1) * asin(1/sqrt(n)) = pi/2\n"
+_GROVER_TEXT = {  # mode -> template; a simulate report's trace table follows its template
+    "solve-n": _QUERY_RELATION + "  q = {q}\n  n = {n_solved}",
+    "solve-q": _QUERY_RELATION + "  n = {n}\n  q = {q_solved} (rounded: {q_rounded})",
+    "simulate": (
+        "Search simulation: n = {n}, q = {q}, marked index {marked}\n"
+        "  final marked probability: {final_marked_probability}\n"
+        "  closed-form probability:  {closed_form_probability}\n"
+        "  |difference|:             {difference}\n"
+        "  max norm drift:           {max_norm_drift}\n"
+    ),
+}
 
 
 def build_grover_solve_n_report(q: int) -> dict:
@@ -357,40 +363,22 @@ def build_grover_simulate_report(n: int, q: int, marked: int, *, cap=grover.DEFA
     }
 
 
-def _grover_text(report) -> list:
-    mode = report["mode"]
-    if mode == "solve-n":
-        return [
-            "Query relation: (2q+1) * asin(1/sqrt(n)) = pi/2",
-            f"  q = {report['q']}",
-            f"  n = {_fmt(report['n_solved'])}",
-        ]
-    if mode == "solve-q":
-        return [
-            "Query relation: (2q+1) * asin(1/sqrt(n)) = pi/2",
-            f"  n = {_fmt(report['n'])}",
-            f"  q = {_fmt(report['q_solved'])} (rounded: {report['q_rounded']})",
-        ]
+def _grover_text(report):
+    head = _GROVER_TEXT[report["mode"]].format_map(_fields(report))
+    if report["mode"] != "simulate":
+        return [head]
     trace = report["trace"]
-    # the trace table as preformatted rows; as in a _lines table, the last column is not padded
+    # the trace table as preformatted rows; as in a _table, the last column is not padded
     width = max(len("iteration"), len(str(len(trace) - 1)))
     row = f"{{:<{width}}}  {{:.{SIGNIFICANT_DIGITS}g}}".format
-    return [
-        f"Search simulation: n = {report['n']}, q = {report['q']}, marked index {report['marked']}",
-        f"  final marked probability: {_fmt(report['final_marked_probability'])}",
-        f"  closed-form probability:  {_fmt(report['closed_form_probability'])}",
-        f"  |difference|:             {_fmt(report['difference'])}",
-        f"  max norm drift:           {_fmt(report['max_norm_drift'])}",
-        "",
-        f"{'iteration':<{width}}  marked_probability",
-        map(row, range(len(trace)), trace),
-    ]
+    header = f"{'iteration':<{width}}  marked_probability"
+    return itertools.chain([head, header], map(row, range(len(trace)), trace))
 
 
 def _grover_csv(report) -> tuple:
     if report["mode"] != "simulate":  # one row of the report's fields
-        keys, values = zip(*_leaves(report))
-        return keys, [map(_fmt, values)]
+        fields = _fields(report)
+        return tuple(fields), [fields.values()]
     trace = report["trace"]
     rows = zip(range(len(trace)), map(_format_float, trace))
     return ("iteration", "marked_probability"), rows
@@ -405,6 +393,17 @@ def _grover_json(report):
 
 
 # --- energy ---------------------------------------------------------------
+
+_ENERGY_TEXT = (
+    "Uncertainty-relation energy estimate (CGS)\n"
+    "  hbar = {hbar} erg*s, delta_x = {delta_x} cm, mass = {mass} g\n"
+    "  momentum uncertainty:  {momentum_uncertainty} g*cm/s\n"
+    "  fluctuation energy:    {fluctuation_energy_erg} erg ({fluctuation_energy_ev} eV)\n"
+    "  hydrogen-bond energy:  {hbond_energy} erg\n"
+    "  energy / h-bond:       {hbond_ratio}\n"
+    "  at {factor} * delta_x: {energy_scaled_erg} erg,"
+    " ratio {energy_ratio}, / h-bond {scaled_to_hbond}"
+)
 
 
 def build_energy_report(params: physics.PhysicalParams, scale_factor: float) -> dict:
@@ -432,33 +431,20 @@ def build_energy_report(params: physics.PhysicalParams, scale_factor: float) -> 
 
 
 def _energy_text(report) -> list:
-    p = report["params"]
-    s = report["scale"]
-    return [
-        "Uncertainty-relation energy estimate (CGS)",
-        f"  hbar = {_fmt(p['hbar'])} erg*s, delta_x = {_fmt(p['delta_x'])} cm,"
-        f" mass = {_fmt(p['mass'])} g",
-        f"  momentum uncertainty:  {_fmt(report['momentum_uncertainty'])} g*cm/s",
-        f"  fluctuation energy:    {_fmt(report['fluctuation_energy_erg'])} erg"
-        f" ({_fmt(report['fluctuation_energy_ev'])} eV)",
-        f"  hydrogen-bond energy:  {_fmt(p['hbond_energy'])} erg",
-        f"  energy / h-bond:       {_fmt(report['hbond_ratio'])}",
-        f"  at {_fmt(s['factor'])} * delta_x: {_fmt(s['energy_scaled_erg'])} erg,"
-        f" ratio {_fmt(s['energy_ratio'])}, / h-bond {_fmt(s['scaled_to_hbond'])}",
-    ]
+    return [_ENERGY_TEXT.format_map(_fields(report))]
 
 
 def _energy_csv(report) -> tuple:
     names = ("hbar_erg_s", "delta_x_cm", "mass_g", "hbond_energy_erg",
              "momentum_uncertainty_g_cm_s", "fluctuation_energy_erg", "fluctuation_energy_ev",
              "hbond_ratio", "scale_factor", "energy_scaled_erg", "energy_ratio", "scaled_to_hbond")
-    values = (_fmt(value) for _, value in _leaves(report))  # in the order of `names`
+    values = _fields(report).values()  # in the order of `names`
     return ("quantity", "value"), zip(names, values, strict=True)
 
 
 # --- dispatch ---------------------------------------------------------------
 
-# command -> (text document layout, CSV table layout, JSON emitter)
+# command -> (text layout, CSV table layout, JSON emitter)
 _LAYOUTS = {
     "count": (_count_text, _count_csv, _count_json),
     "analyze": (_analyze_text, _analyze_csv, _json),
@@ -475,7 +461,7 @@ def emit(report: dict, fmt: str = "text"):
     """
     text_layout, csv_layout, json_emitter = _LAYOUTS[report["command"]]
     if fmt == "text":
-        return _text(text_layout(report))
+        return itertools.chain(_chunked(text_layout(report)), ["\n"])
     if fmt == "csv":
         return _csv(*csv_layout(report))
     if fmt == "json":

@@ -31,7 +31,7 @@ from codonlab import (
     symmetry,
 )
 from codonlab.cli import main
-from codonlab.genetic_code import STANDARD_TABLE_TEXT
+from codonlab.genetic_code import STANDARD_TABLE_TEXT, parse_table
 from codonlab.reports import (
     build_analyze_report,
     build_count_report,
@@ -648,8 +648,14 @@ def test_config_accepts_every_option_of_its_subcommand(tmp_path, argv, config):
 def test_config_cannot_smuggle_bad_format(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"format": "xml"}))
-    code, out, _ = run_cli("count", "--k", "2", "--r", "2", "--config", str(config))
-    assert code == 2 and out == ""
+    for argv in (
+        ("count", "--k", "2", "--r", "2"),
+        ("count", "--k", "4", "--r", "3", "--cap", "5"),  # refused before the class cap
+        ("grover", "simulate", "--n", "4", "--q", "10", "--cap", "3"),  # and the simulation cap
+    ):
+        code, out, err = run_cli(*argv, "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == "error: format must be one of text, json, csv, got 'xml'\n"
 
 
 def test_output_file_matches_stdout(tmp_path):
@@ -751,6 +757,40 @@ def test_version_prints_the_package_version():
 def test_render_rejects_unknown_format():
     with pytest.raises(InvalidParamsError):
         render(build_count_report(2, 2), fmt="yaml")
+
+
+def scalar_keys(node):
+    """The key of every scalar field, nested ones too, duplicates kept."""
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from scalar_keys(value)
+        elif value is None or isinstance(value, (str, int, float)):
+            yield key
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_count_report(4, 3),
+        lambda: build_count_report(4, 3, include_classes=False),
+        lambda: build_analyze_report(builtin_standard_code(), "builtin:standard"),
+        lambda: build_analyze_report(symmetry.random_code(7), "random-seed:7"),
+        lambda: build_analyze_report(
+            parse_table((GOLDEN / "vertebrate_mitochondrial.table").read_text()), "table:t"),
+        lambda: reports.build_grover_solve_n_report(3),
+        lambda: reports.build_grover_solve_q_report(20.0),
+        lambda: build_grover_simulate_report(16, 3, 5),
+        lambda: build_energy_report(PhysicalParams(), 3.0),
+    ],
+    ids=["count", "count-skip-classes", "analyze-builtin", "analyze-random-seed",
+         "analyze-table", "grover-solve-n", "grover-solve-q", "grover-simulate", "energy"],
+)
+def test_no_two_scalar_fields_share_a_key(build):
+    """Text templates and scalar CSVs name nested fields by key alone, so keys must be unique."""
+    report = build()
+    keys = list(scalar_keys(report))
+    assert len(keys) == len(set(keys))
+    assert list(reports._fields(report)) == [key for key in keys if key not in ("command", "mode")]
 
 
 def test_round_sig_pins_emission_precision():
