@@ -9,58 +9,58 @@ defaults. Every input is checked before the first byte of a report is
 written, so a refused run emits nothing; reports then stream to stdout, or
 to --output through a temporary file that replaces the target only when
 complete.
+
+A run loads only the modules its command uses: a command's options, and
+the library values their defaults name, are read only when it runs.
 """
 
 import argparse
-import json
 import os
 import sys
 
-from . import __version__, reports
-from .combinatorics import DEFAULT_CLASS_CAP
+import codonlab  # the package, whose public names load their module on first use
+
 from .errors import CodonLabError, InvalidParamsError
-from .genetic_code import BUILTIN_TABLE_TEXTS, builtin_code, parse_table
-from .grover import DEFAULT_SIM_CAP
-from .physics import PhysicalParams
-from .symmetry import random_code
 
 REQUIRED = object()  # the default of an option that a run cannot do without
 
 
-# command -> (help, {option: (kind, default, help[, argparse settings])}): a kind is int,
-# float, str or bool (a flag that sets True); a default is a value, None or REQUIRED.
-# A command of several modes has None for options; each mode is a command of its own.
+# command -> (help, options): options() is {option: (kind, default, help[, argparse settings])},
+# called only when the command runs, so only then are the modules its defaults name loaded. A
+# kind is int, float, str or bool (a flag that sets True); a default is a value, None or
+# REQUIRED. A command of several modes has None for options; each mode is a command of its own.
 COMMANDS = {
-    "count": ("count and enumerate word content classes", {
+    "count": ("count and enumerate word content classes", lambda: {
         "k": (int, REQUIRED, "alphabet size"),
         "r": (int, REQUIRED, "word length"),
         "alphabet": (str, None, "k distinct letters to enumerate over (default A, B, C, ...)"),
-        "cap": (int, DEFAULT_CLASS_CAP, "class enumeration cap"),
+        "cap": (int, codonlab.DEFAULT_CLASS_CAP, "class enumeration cap"),
         "skip_classes": (bool, False, "emit the two counts only, without enumerating classes"),
     }),
-    "analyze": ("partition a genetic code and measure coherence", {
-        "builtin": (str, None, f"built-in table name ({', '.join(sorted(BUILTIN_TABLE_TEXTS))})"),
+    "analyze": ("partition a genetic code and measure coherence", lambda: {
+        "builtin": (str, None,
+                    f"built-in table name ({', '.join(sorted(codonlab.BUILTIN_TABLE_TEXTS))})"),
         "table": (str, None, "translation-table file", {"metavar": "PATH"}),
         "random_seed": (int, None, "analyze a seeded synthetic random code instead of a table"),
     }),
     "grover": ("query-count relations and search simulation", None),
-    "grover solve-n": ("database size reachable with q queries", {
+    "grover solve-n": ("database size reachable with q queries", lambda: {
         "q": (int, REQUIRED, "query count"),
     }),
-    "grover solve-q": ("query count needed for database size n", {
+    "grover solve-q": ("query count needed for database size n", lambda: {
         "n": (float, REQUIRED, "database size (real, >= 1)"),
     }),
-    "grover simulate": ("exact two-amplitude simulation of the search", {
+    "grover simulate": ("exact two-amplitude simulation of the search", lambda: {
         "n": (int, REQUIRED, "database size (integer, >= 2)"),
         "q": (int, REQUIRED, "iterations to apply"),
         "marked": (int, 0, "marked index"),
-        "cap": (int, DEFAULT_SIM_CAP, "simulation cap on both n and q"),
+        "cap": (int, codonlab.DEFAULT_SIM_CAP, "simulation cap on both n and q"),
     }),
-    "energy": ("uncertainty momentum/energy estimates (CGS)", {
-        "hbar": (float, PhysicalParams.hbar, "erg*s"),
-        "delta_x": (float, PhysicalParams.delta_x, "cm"),
-        "mass": (float, PhysicalParams.mass, "g"),
-        "hbond": (float, PhysicalParams.hbond_energy, "hydrogen-bond energy, erg"),
+    "energy": ("uncertainty momentum/energy estimates (CGS)", lambda: {
+        "hbar": (float, codonlab.PhysicalParams.hbar, "erg*s"),
+        "delta_x": (float, codonlab.PhysicalParams.delta_x, "cm"),
+        "mass": (float, codonlab.PhysicalParams.mass, "g"),
+        "hbond": (float, codonlab.PhysicalParams.hbond_energy, "hydrogen-bond energy, erg"),
         "scale": (float, 3.0, "length-scale factor to compare against"),  # a codon is 3 bases
     }),
 }
@@ -71,32 +71,51 @@ _COMMON = {
 }
 
 
+def _command_options(command) -> dict:
+    """Every option of `command`, its own and the common ones; see COMMANDS."""
+    return {**COMMANDS[command][1](), **_COMMON}
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that adds its command's options when it first parses or shows its help,
+    so that a run imports the module, and reads the defaults, of its own command only."""
+
+    command = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.command is not None:
+            for option, (kind, default, text, *extra) in _command_options(self.command).items():
+                settings = dict(*extra)
+                if kind is bool:
+                    settings.update(action="store_const", const=True)
+                else:
+                    settings.update(type=kind)
+                    if default not in (None, REQUIRED):
+                        text = f"{text} (default {default})"
+                flags = [f"-{option[0]}"] if option in _COMMON else []
+                self.add_argument("--" + option.replace("_", "-"), *flags, help=text, **settings)
+            self.add_argument("--config", "-c", metavar="PATH",
+                              help="JSON file with option defaults; explicit flags win")
+            self.command = None
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="codonlab",
         description="Codon content-class counting, genetic-code symmetry analysis, "
                     "search-query numerics and uncertainty-energy estimates.",
     )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    version = f"%(prog)s {codonlab.__version__}"
+    parser.add_argument("--version", action="version", version=version)
     subparsers = {"": parser.add_subparsers(dest="command", required=True)}
     for command, (summary, options) in COMMANDS.items():
         group, _, name = command.rpartition(" ")
         p = subparsers[group].add_parser(name, help=summary)
         if options is None:
             subparsers[command] = p.add_subparsers(dest="mode", required=True)
-            continue
-        for option, (kind, default, text, *extra) in {**options, **_COMMON}.items():
-            settings = dict(*extra)
-            if kind is bool:
-                settings.update(action="store_const", const=True)
-            else:
-                settings.update(type=kind)
-                if default not in (None, REQUIRED):
-                    text = f"{text} (default {default})"
-            flags = [f"-{option[0]}"] if option in _COMMON else []
-            p.add_argument("--" + option.replace("_", "-"), *flags, help=text, **settings)
-        p.add_argument("--config", "-c", metavar="PATH",
-                       help="JSON file with option defaults; explicit flags win")
+        else:
+            p.command = command
     return parser
 
 
@@ -106,9 +125,10 @@ def _options(args, parser, command) -> dict:
     Config keys are checked against the command's options when the file is read; every
     value is then checked for type and choices, the required ones for presence, before any work.
     """
-    options = {**COMMANDS[command][1], **_COMMON}
+    options = _command_options(command)
     config = {}
     if args.config is not None:
+        import json
         try:
             with open(args.config, encoding="utf-8") as handle:
                 config = json.load(handle)
@@ -163,20 +183,17 @@ def _convert(value, kind, name):
 
 def _report(command, options, parser) -> dict:
     """Build `command`'s report from its resolved options."""
+    from . import reports
     if command == "count":
-        return reports.build_count_report(
-            options["k"],
-            options["r"],
-            alphabet=options["alphabet"],
-            cap=options["cap"],
-            include_classes=not options["skip_classes"],
-        )
+        return reports.build_count_report(options["k"], options["r"], alphabet=options["alphabet"],
+                                          cap=options["cap"],
+                                          include_classes=not options["skip_classes"])
     if command == "analyze":
         name, path, seed = options["builtin"], options["table"], options["random_seed"]
         if [name, path, seed].count(None) != 2:
             parser.error("analyze requires exactly one of --builtin, --table, --random-seed")
         if name is not None:
-            code, source = builtin_code(name), f"builtin:{name}"
+            code, source = codonlab.builtin_code(name), f"builtin:{name}"
         elif path is not None:
             try:
                 path.encode("utf-8")  # the report prints the path, so it must be UTF-8
@@ -184,19 +201,19 @@ def _report(command, options, parser) -> dict:
                     text = handle.read()
             except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
                 raise InvalidParamsError(f"cannot read table file: {exc}") from exc
-            code, source = parse_table(text), f"table:{path}"
+            code, source = codonlab.parse_table(text), f"table:{path}"
         else:
-            code, source = random_code(seed), f"random-seed:{seed}"
+            code, source = codonlab.random_code(seed), f"random-seed:{seed}"
         return reports.build_analyze_report(code, source)
     if command == "grover solve-n":
         return reports.build_grover_solve_n_report(options["q"])
     if command == "grover solve-q":
         return reports.build_grover_solve_q_report(options["n"])
     if command == "grover simulate":
-        return reports.build_grover_simulate_report(
-            options["n"], options["q"], options["marked"], cap=options["cap"]
-        )
-    params = PhysicalParams(options["hbar"], options["delta_x"], options["mass"], options["hbond"])
+        return reports.build_grover_simulate_report(options["n"], options["q"], options["marked"],
+                                                    cap=options["cap"])
+    params = codonlab.PhysicalParams(options["hbar"], options["delta_x"], options["mass"],
+                                     options["hbond"])
     return reports.build_energy_report(params, options["scale"])
 
 
@@ -252,6 +269,7 @@ def main(argv=None) -> int:
     try:
         options = _options(args, parser, command)
         report = _report(command, options, parser)
+        from . import reports
         _write(reports.emit(report, fmt=options["format"]), options["output"])
     except CodonLabError as exc:
         try:

@@ -11,11 +11,10 @@ touches floating point.
 """
 
 import math
-import string
 import sys
-from dataclasses import dataclass
 
 from .errors import CapacityExceededError, InvalidParamsError, UnknownLetterError
+from .record import Record
 
 # Canonical total order for nucleotide words (RNA spelling).
 RNA_ALPHABET = ("A", "C", "G", "U")
@@ -27,8 +26,7 @@ DEFAULT_CLASS_CAP = 10**6
 MAX_DIGITS = 4300
 
 
-@dataclass(frozen=True)
-class MultisetClass:
+class MultisetClass(Record):
     """One equivalence class of words under permutation of their letters.
 
     `canonical_word` is the unique non-decreasing member of the class under
@@ -50,7 +48,7 @@ def generic_alphabet(k: int) -> tuple[str, ...]:
     """First k uppercase letters, the default alphabet for abstract counting."""
     if not isinstance(k, int) or not 1 <= k <= 26:
         raise InvalidParamsError(f"generic alphabet needs an integer 1 <= k <= 26, got {k!r}")
-    return tuple(string.ascii_uppercase[:k])
+    return tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ"[:k])
 
 
 def _check_k_r(k, r, *, min_k: int) -> None:
@@ -87,7 +85,6 @@ def _fills_one_cell(letter: str) -> bool:
     if letter.isascii():
         return True
     import unicodedata  # only for non-ASCII letters, so start-up does not load it
-
     return (unicodedata.east_asian_width(letter) not in ("W", "F")
             and not unicodedata.category(letter).startswith("M"))
 
@@ -181,13 +178,8 @@ class MultisetClasses:
         yield from fill(0, r, "", "", 1)
 
 
-def enumerate_multisets(
-    k: int,
-    r: int,
-    *,
-    alphabet=None,
-    cap: int = DEFAULT_CLASS_CAP,
-) -> MultisetClasses:
+def enumerate_multisets(k: int, r: int, *, alphabet=None,
+                        cap: int = DEFAULT_CLASS_CAP) -> MultisetClasses:
     """All content classes for length-r words over k letters, generated lazily.
 
     Classes come in lexicographic order of the canonical word under the

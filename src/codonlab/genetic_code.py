@@ -23,9 +23,9 @@ for stop.
 """
 
 import functools
-from dataclasses import dataclass
 
 from .errors import InvalidParamsError, TableFormatError, UnknownLetterError
+from .record import Record
 
 # Base order of the canonical codon index: index = 16*b1 + 4*b2 + b3 with
 # U=0, C=1, A=2, G=3 (the layout order of the table format above).
@@ -57,8 +57,7 @@ def codon_index(codon: str) -> int:
     return 16 * b1 + 4 * b2 + b3
 
 
-@dataclass(frozen=True)
-class GeneticCode:
+class GeneticCode(Record):
     """Immutable total map from the 64 codons to amino acids or stop.
 
     `aas` holds the 64 product symbols in canonical codon-index order;
@@ -70,7 +69,7 @@ class GeneticCode:
     aas: str
     starts: frozenset[str] = frozenset()
 
-    def __post_init__(self):
+    def _check(self):
         if len(self.aas) != 64:
             raise InvalidParamsError(f"aas must have 64 symbols, got {len(self.aas)}")
         for symbol in self.aas:

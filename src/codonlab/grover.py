@@ -11,9 +11,9 @@ diffusion steps never introduce complex phases.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import CapacityExceededError, InvalidParamsError
+from .record import Record
 
 DEFAULT_SIM_CAP = 2**20
 
@@ -67,8 +67,7 @@ def success_probability(n: int, q: int) -> float:
     return math.sin((2 * q + 1) * theta) ** 2
 
 
-@dataclass(frozen=True, eq=False)
-class GroverRun:
+class GroverRun(Record):
     """Result of one simulated search run.
 
     `probability_trace[i]` is the marked-item probability after i iterations
@@ -86,6 +85,8 @@ class GroverRun:
     unmarked_amplitude: float
     probability_trace: tuple[float, ...]
     max_norm_drift: float
+
+    __eq__, __hash__ = object.__eq__, object.__hash__  # compared by identity
 
 
 def simulate(n: int, q: int, marked: int = 0, *, cap: int = DEFAULT_SIM_CAP) -> GroverRun:
@@ -127,12 +128,5 @@ def simulate(n: int, q: int, marked: int = 0, *, cap: int = DEFAULT_SIM_CAP) -> 
             low = s
     # |fl(sqrt(s)) - 1| falls then rises with s, so the extremes of s give its maximum
     drift = max(abs(math.sqrt(low) - 1.0), abs(math.sqrt(high) - 1.0))
-    return GroverRun(
-        n=n,
-        marked=marked,
-        iterations_applied=q,
-        marked_amplitude=a,
-        unmarked_amplitude=b,
-        probability_trace=tuple(trace),
-        max_norm_drift=drift,
-    )
+    return GroverRun(n=n, marked=marked, iterations_applied=q, marked_amplitude=a,
+                     unmarked_amplitude=b, probability_trace=tuple(trace), max_norm_drift=drift)

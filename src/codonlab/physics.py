@@ -8,9 +8,9 @@ and an infinite one raises InvalidParamsError.
 """
 
 import math
-from dataclasses import dataclass, fields
 
 from .errors import InvalidParamsError
+from .record import Record
 
 ERG_PER_JOULE = 1e7
 ERG_PER_EV = 1.602176634e-12  # elementary charge in CGS-consistent erg/eV
@@ -23,8 +23,7 @@ def _finite(value: float, name: str) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
+class PhysicalParams(Record):
     """Input constants in CGS units.
 
     Defaults: reduced Planck constant (erg*s), a single-nucleotide length
@@ -37,11 +36,10 @@ class PhysicalParams:
     mass: float = 1.67e-24
     hbond_energy: float = 7e-14
 
-    def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
+    def _check(self):
+        for name, value in self.__dict__.items():
             if not (value > 0 and math.isfinite(value)):
-                raise InvalidParamsError(f"{field.name} must be positive and finite, got {value!r}")
+                raise InvalidParamsError(f"{name} must be positive and finite, got {value!r}")
 
 
 def momentum_uncertainty(params: PhysicalParams) -> float:
@@ -61,8 +59,7 @@ def fluctuation_energy(params: PhysicalParams) -> float:
     return kinetic_energy(momentum_uncertainty(params), params.mass)
 
 
-@dataclass(frozen=True)
-class ScaleComparison:
+class ScaleComparison(Record):
     """Fluctuation energies at delta_x and at scale_factor * delta_x."""
 
     scale_factor: float
@@ -72,9 +69,9 @@ class ScaleComparison:
     base_to_hbond: float
     scaled_to_hbond: float
 
-    def __post_init__(self):
-        for field in fields(self):
-            _finite(getattr(self, field.name), field.name)
+    def _check(self):
+        for name, value in self.__dict__.items():
+            _finite(value, name)
 
 
 def scale_comparison(params: PhysicalParams, scale_factor: float) -> ScaleComparison:
@@ -91,14 +88,8 @@ def scale_comparison(params: PhysicalParams, scale_factor: float) -> ScaleCompar
     square = scale_factor * scale_factor
     energy_ratio = 1.0 / square if square else math.inf
     energy_scaled = energy_base * energy_ratio
-    return ScaleComparison(
-        scale_factor=scale_factor,
-        energy_base=energy_base,
-        energy_scaled=energy_scaled,
-        energy_ratio=energy_ratio,
-        base_to_hbond=energy_base / params.hbond_energy,
-        scaled_to_hbond=energy_scaled / params.hbond_energy,
-    )
+    return ScaleComparison(scale_factor, energy_base, energy_scaled, energy_ratio,
+                           energy_base / params.hbond_energy, energy_scaled / params.hbond_energy)
 
 
 def erg_to_joule(energy: float) -> float:

@@ -7,21 +7,18 @@ json.dumps, except that count (one class per line) and grover simulate (the
 trace spelled from float reprs, as json.dumps spells it) stream their long
 list, preformatted item by item, after the indented head.
 Output comes chunk by chunk, so a report whose rows are generated on demand
-(the classes of a count) is never held whole.
+(the classes of a count) is never held whole. Each builder imports the module
+it reports on, and each emitter json or csv, only when called.
 Floats are rounded to 12 significant digits at build time, so every format
 encodes identical values and repeated runs over identical inputs produce
 byte-identical output.
 """
 
-import csv
 import io
 import itertools
-import json
 from collections import Counter
 
-from . import combinatorics, grover, physics, symmetry
 from .errors import InvalidParamsError
-from .genetic_code import GeneticCode
 
 SIGNIFICANT_DIGITS = 12
 CHUNK_LINES = 4096  # lines per emitted chunk
@@ -79,6 +76,7 @@ def _table(headers, rows, widths=None):
 
 
 def _csv(headers, rows):
+    import csv
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(headers)
@@ -94,11 +92,13 @@ def _csv(headers, rows):
 
 
 def _json(report):
+    import json
     yield json.dumps(report, indent=2) + "\n"
 
 
 def _json_with_list(head, key, items):
     """`head` as indented JSON, closed by the field `key`: a list of preformatted items."""
+    import json
     return itertools.chain(
         [json.dumps(head, indent=2)[:-2] + f',\n  "{key}": [\n    '],
         _chunked(items, ",\n    "),
@@ -117,20 +117,18 @@ _COUNT_SKIPPED_TEXT = _COUNT_TEXT + "  classes:              skipped"
 _COUNT_CLASSES_TEXT = _COUNT_TEXT + "  partition identity:   {identity}\n"
 
 
-def build_count_report(
-    k: int,
-    r: int,
-    *,
-    alphabet=None,
-    cap: int = combinatorics.DEFAULT_CLASS_CAP,
-    include_classes: bool = True,
-) -> dict:
+def build_count_report(k: int, r: int, *, alphabet=None, cap: int | None = None,
+                       include_classes: bool = True) -> dict:
     """The two counts and, unless skipped, the classes as a lazy MultisetClasses.
 
-    Every check (the digit bound, the alphabet, the cap) runs here, before
-    any class is generated. The text and JSON layouts add the partition
-    identity from a counts-only pass over the class sizes.
+    Every check (the digit bound, the alphabet, the cap, by default
+    combinatorics.DEFAULT_CLASS_CAP) runs here, before any class is
+    generated. The text and JSON layouts add the partition identity from a
+    counts-only pass over the class sizes.
     """
+    from . import combinatorics
+    if cap is None:
+        cap = combinatorics.DEFAULT_CLASS_CAP
     combinatorics.check_printable(k, r)
     report = {
         "command": "count",
@@ -176,6 +174,7 @@ def _count_json(report):
     """
     if "classes" not in report:
         return _json(report)
+    import json
     classes = report["classes"]
     head = {key: value for key, value in report.items() if key != "classes"}
     head["partition_identity_holds"] = _count_survey(report)[0]
@@ -219,7 +218,9 @@ _ANALYZE_TEXT = (
 )
 
 
-def build_analyze_report(code: GeneticCode, source: str) -> dict:
+def build_analyze_report(code, source: str) -> dict:
+    """The coherence report of a GeneticCode over the 20 content classes."""
+    from . import symmetry
     sym = symmetry.partition_classes(code)
     prefixes = symmetry.prefix_significance(code)
 
@@ -290,15 +291,8 @@ def _analyze_text(report) -> list:
     profile = ", ".join(f"{n}x size {s}" for s, n in report["symmetry"]["size_profile"].items())
     classes = _table(("word", "size", "codons", "products", "coherent", "coherent-excl-stop"),
                      _class_rows(report, ","))
-    prefix_rows = [
-        (
-            e["prefix"],
-            ",".join(e["products"]),
-            ",".join(e["product_set"]),
-            _fmt(e["fully_degenerate"]),
-        )
-        for e in report["prefix"]["prefixes"]
-    ]
+    prefix_rows = [(e["prefix"], ",".join(e["products"]), ",".join(e["product_set"]),
+                    _fmt(e["fully_degenerate"])) for e in report["prefix"]["prefixes"]]
     prefixes = _table(("prefix", "products(U,C,A,G)", "distinct", "fully-degenerate"), prefix_rows)
     return [_ANALYZE_TEXT.format(size_profile=profile, classes="\n".join(classes),
                                  prefixes="\n".join(prefixes), **_fields(report))]
@@ -326,6 +320,7 @@ _GROVER_TEXT = {  # mode -> template; a simulate report's trace table follows it
 
 
 def build_grover_solve_n_report(q: int) -> dict:
+    from . import grover
     return {
         "command": "grover",
         "mode": "solve-n",
@@ -335,6 +330,7 @@ def build_grover_solve_n_report(q: int) -> dict:
 
 
 def build_grover_solve_q_report(n: float) -> dict:
+    from . import grover
     q = grover.solve_q(n)
     return {
         "command": "grover",
@@ -345,7 +341,11 @@ def build_grover_solve_q_report(n: float) -> dict:
     }
 
 
-def build_grover_simulate_report(n: int, q: int, marked: int, *, cap=grover.DEFAULT_SIM_CAP) -> dict:
+def build_grover_simulate_report(n: int, q: int, marked: int, *, cap: int | None = None) -> dict:
+    """A run's final and closed-form probabilities and trace; `cap` defaults to DEFAULT_SIM_CAP."""
+    from . import grover
+    if cap is None:
+        cap = grover.DEFAULT_SIM_CAP
     run = grover.simulate(n, q, marked, cap=cap)
     closed_form = grover.success_probability(n, q)
     final = run.probability_trace[-1]
@@ -406,7 +406,9 @@ _ENERGY_TEXT = (
 )
 
 
-def build_energy_report(params: physics.PhysicalParams, scale_factor: float) -> dict:
+def build_energy_report(params, scale_factor: float) -> dict:
+    """The uncertainty energies for PhysicalParams, at delta_x and scaled by `scale_factor`."""
+    from . import physics
     dp = physics.momentum_uncertainty(params)
     comparison = physics.scale_comparison(params, scale_factor)
     return {

@@ -7,8 +7,6 @@ symbol and once with stop-producing codons excluded.
 """
 
 import itertools
-import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .combinatorics import RNA_ALPHABET, MultisetClass, canonicalize
@@ -20,10 +18,10 @@ from .genetic_code import (
     GeneticCode,
     codon_index,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(Record):
     """One content class together with what a code does on it."""
 
     multiset: MultisetClass
@@ -33,8 +31,7 @@ class ClassReport:
     coherent_excluding_stop: bool
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(Record):
     """A code's coherence over the 20 content classes.
 
     The pair counts cover unordered same-class codon pairs; a pair violates
@@ -61,16 +58,14 @@ class SymmetryReport:
         return self.pairs_violating_excluding_stop / pairs if pairs else 0.0
 
 
-@dataclass(frozen=True)
-class PrefixEntry:
+class PrefixEntry(Record):
     prefix: str
     products: tuple[str, str, str, str]  # third base U, C, A, G
     product_set: tuple[str, ...]
     fully_degenerate: bool
 
 
-@dataclass(frozen=True)
-class PrefixReport:
+class PrefixReport(Record):
     per_prefix: tuple[PrefixEntry, ...]
     fully_degenerate_prefix_count: int
 
@@ -122,17 +117,8 @@ def partition_classes(code: GeneticCode) -> SymmetryReport:
         ClassReport(cls, codons, p, c, cx)
         for (cls, codons), p, c, cx in zip(codon_partition(), products, coherent, coherent_excl)
     )
-    return SymmetryReport(
-        per_class=per_class,
-        coherent_count=count,
-        coherent_count_excluding_stop=count_excl,
-        bijective_20_to_20=bijective,
-        bijective_20_to_20_excluding_stop=bijective_excl,
-        pairs_total=pairs,
-        pairs_violating=violating,
-        pairs_total_excluding_stop=pairs_excl,
-        pairs_violating_excluding_stop=violating_excl,
-    )
+    return SymmetryReport(per_class, count, count_excl, bijective, bijective_excl,
+                          pairs, violating, pairs_excl, violating_excl)
 
 
 def multiset_invariance_violation(code: GeneticCode) -> SymmetryReport:
@@ -171,6 +157,7 @@ def random_code(seed: int) -> GeneticCode:
 
     Every codon gets an independent uniform product symbol, stop included.
     """
+    import random  # only here, so start-up does not load it
     rng = random.Random(seed)
     aas = "".join(PRODUCT_SYMBOLS[rng.randrange(len(PRODUCT_SYMBOLS))] for _ in range(64))
     return GeneticCode(name=f"random-{seed}", id=None, aas=aas)

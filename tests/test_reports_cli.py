@@ -6,6 +6,7 @@ exceeded. Failing runs must leave stdout empty (no partial reports).
 
 import contextlib
 import csv
+import importlib
 import io
 import json
 import os
@@ -828,9 +829,70 @@ def test_subprocess_runs_are_byte_identical():
     assert first.stdout.decode() == run_cli(*args)[1]
 
 
+# --- start-up: what a call loads -------------------------------------------------
+
+# Runs `python -m codonlab ARGS`, or just `import codonlab` without ARGS, and
+# prints every module then loaded to stderr.
+LIST_LOADED = """
+import sys
+if len(sys.argv) > 1:
+    import runpy
+    try:
+        runpy.run_module("codonlab", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        assert not exc.code, exc.code
+else:
+    import codonlab
+print(*sorted(sys.modules), file=sys.stderr)
+"""
+
+
+def loaded_modules(*argv) -> set:
+    """The modules a fresh `python -S` process has loaded after the call.
+
+    -S skips the site module, so that modules its .pth files preload cannot
+    hide an import the call makes itself.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(codonlab.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-S", "-c", LIST_LOADED, *argv], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return set(result.stderr.split())
+
+
 def test_import_loads_no_numpy():
-    check = "import codonlab, sys; assert 'numpy' not in sys.modules"
-    assert subprocess.run([sys.executable, "-c", check], timeout=60).returncode == 0
+    loaded = loaded_modules()
+    assert "codonlab" in loaded and "numpy" not in loaded
+    assert not [name for name in loaded if name.startswith("codonlab.")]
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["energy"], {"dataclasses", "inspect", "json", "csv", "random", "codonlab.symmetry",
+                  "codonlab.combinatorics", "codonlab.genetic_code", "codonlab.grover"}),
+    (["grover", "solve-n", "--q", "3"], {"dataclasses", "inspect", "csv", "codonlab.symmetry",
+                                         "codonlab.physics", "codonlab.combinatorics",
+                                         "codonlab.genetic_code"}),
+])
+def test_a_subcommand_loads_only_what_it_uses(argv, unloaded):
+    loaded = loaded_modules(*argv)
+    assert {"codonlab.cli", "codonlab.reports"} <= loaded  # the call ran
+    assert not loaded & unloaded
+
+
+def test_every_lazy_name_is_its_module_attribute():
+    for name, module in codonlab._EXPORTS.items():
+        vars(codonlab).pop(name, None)  # resolved anew, through the module __getattr__
+        assert getattr(codonlab, name) is getattr(importlib.import_module(f"codonlab.{module}"),
+                                                  name)
+    assert len(set(codonlab.__all__)) == len(codonlab.__all__)
+    assert set(codonlab.__all__) == set(codonlab._EXPORTS)
+    listed = dir(codonlab)
+    assert len(set(listed)) == len(listed) and set(codonlab.__all__) <= set(listed)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        codonlab.no_such_name  # noqa: B018
+    namespace = {}
+    exec("from codonlab import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(codonlab.__all__)
 
 
 def test_reader_closing_stdout_early_exits_2_without_traceback():
