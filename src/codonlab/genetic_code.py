@@ -35,8 +35,6 @@ AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
 STOP = "*"
 PRODUCT_SYMBOLS = AMINO_ACIDS + STOP
 
-_BASE_DIGIT = {base: i for i, base in enumerate(INDEX_BASE_ORDER)}
-
 # All 64 codons in canonical index order.
 ALL_CODONS = tuple(
     b1 + b2 + b3
@@ -44,17 +42,17 @@ ALL_CODONS = tuple(
     for b2 in INDEX_BASE_ORDER
     for b3 in INDEX_BASE_ORDER
 )
+_CODON_INDEX = {codon: i for i, codon in enumerate(ALL_CODONS)}
 
 
 def codon_index(codon: str) -> int:
     """Canonical index 0..63 of an RNA codon (U=0, C=1, A=2, G=3 per slot)."""
     if len(codon) != 3:
         raise InvalidParamsError(f"codon must have 3 bases, got {codon!r}")
-    try:
-        b1, b2, b3 = (_BASE_DIGIT[base] for base in codon)
-    except KeyError as exc:
-        raise UnknownLetterError(f"{exc.args[0]!r} in {codon!r} is not an RNA base") from None
-    return 16 * b1 + 4 * b2 + b3
+    if codon not in _CODON_INDEX:
+        base = next(base for base in codon if base not in INDEX_BASE_ORDER)
+        raise UnknownLetterError(f"{base!r} in {codon!r} is not an RNA base")
+    return _CODON_INDEX[codon]
 
 
 class GeneticCode(Record):
@@ -72,9 +70,9 @@ class GeneticCode(Record):
     def _check(self):
         if len(self.aas) != 64:
             raise InvalidParamsError(f"aas must have 64 symbols, got {len(self.aas)}")
-        for symbol in self.aas:
-            if symbol not in PRODUCT_SYMBOLS:
-                raise InvalidParamsError(f"unknown product symbol {symbol!r}")
+        if self.aas.strip(PRODUCT_SYMBOLS):  # empty exactly when every symbol is known
+            symbol = next(symbol for symbol in self.aas if symbol not in PRODUCT_SYMBOLS)
+            raise InvalidParamsError(f"unknown product symbol {symbol!r}")
         for codon in self.starts:
             codon_index(codon)
 
@@ -130,11 +128,9 @@ def _checked_value(fields, key, allowed: str) -> tuple[str, int, int]:
         raise TableFormatError(
             f"{key} must be 64 characters, got {len(value)}", line=line, column=column
         )
-    for i, char in enumerate(value):
-        if char not in allowed:
-            raise TableFormatError(
-                f"unknown letter {char!r} in {key}", line=line, column=column + i
-            )
+    if value.strip(allowed):  # empty exactly when every letter is allowed
+        i, char = next((i, char) for i, char in enumerate(value) if char not in allowed)
+        raise TableFormatError(f"unknown letter {char!r} in {key}", line=line, column=column + i)
     return value, line, column
 
 
@@ -155,9 +151,7 @@ def parse_table(text: str) -> GeneticCode:
     base2, _, _ = _checked_value(fields, "Base2", "TCAGU")
     base3, _, _ = _checked_value(fields, "Base3", "TCAGU")
 
-    starts_value = None
-    if "Starts" in fields:
-        starts_value, _, _ = _checked_value(fields, "Starts", "-M")
+    starts_value = _checked_value(fields, "Starts", "-M")[0] if "Starts" in fields else ""
 
     name = fields["name"][0] if "name" in fields else "Custom"
     table_id = None
@@ -170,21 +164,17 @@ def parse_table(text: str) -> GeneticCode:
                 f"id must be an integer, got {raw_id!r}", line=id_line, column=id_column
             ) from None
 
+    rna_bases = (base.replace("T", "U") for base in (base1, base2, base3))
+    codons = list(map("".join, zip(*rna_bases)))  # column by column
+    if len(set(codons)) != 64:  # report the first column that repeats an earlier one
+        i = next(i for i, codon in enumerate(codons) if codon in codons[:i])
+        raise TableFormatError(f"codon {codons[i]} listed more than once in the Base lines",
+                               line=base1_line, column=base1_column + i)
     aas = [None] * 64
-    starts = set()
-    for i in range(64):
-        codon = (base1[i] + base2[i] + base3[i]).replace("T", "U")
-        idx = codon_index(codon)
-        if aas[idx] is not None:
-            raise TableFormatError(
-                f"codon {codon} listed more than once in the Base lines",
-                line=base1_line,
-                column=base1_column + i,
-            )
-        aas[idx] = aas_value[i]
-        if starts_value is not None and starts_value[i] == "M":
-            starts.add(codon)
-    return GeneticCode(name=name, id=table_id, aas="".join(aas), starts=frozenset(starts))
+    for codon, product in zip(codons, aas_value):
+        aas[_CODON_INDEX[codon]] = product
+    starts = frozenset(codon for codon, mark in zip(codons, starts_value) if mark == "M")
+    return GeneticCode(name=name, id=table_id, aas="".join(aas), starts=starts)
 
 
 def serialize_table(code: GeneticCode) -> str:
@@ -192,21 +182,11 @@ def serialize_table(code: GeneticCode) -> str:
 
     parse_table(serialize_table(code)) == code for every valid code.
     """
-    lines = [f"{'name':<6} = {code.name}"]
-    if code.id is not None:
-        lines.append(f"{'id':<6} = {code.id}")
-    starts_line = "".join("M" if codon in code.starts else "-" for codon in ALL_CODONS)
-    for key, value in (
-        ("AAs", code.aas),
-        ("Starts", starts_line),
-        ("Base1", "".join(c[0] for c in ALL_CODONS)),
-        ("Base2", "".join(c[1] for c in ALL_CODONS)),
-        ("Base3", "".join(c[2] for c in ALL_CODONS)),
-    ):
-        if key.startswith("Base"):
-            value = value.replace("U", "T")
-        lines.append(f"{key:<6} = {value}")
-    return "\n".join(lines) + "\n"
+    fields = {"name": code.name, "id": code.id, "AAs": code.aas,
+              "Starts": "".join("M" if codon in code.starts else "-" for codon in ALL_CODONS)}
+    for i in range(3):
+        fields[f"Base{i + 1}"] = "".join(codon[i] for codon in ALL_CODONS).replace("U", "T")
+    return "".join(f"{key:<6} = {value}\n" for key, value in fields.items() if value is not None)
 
 
 STANDARD_TABLE_TEXT = """\

@@ -2,10 +2,11 @@
 
 Builders assemble plain dicts with stable key order. Each command has two
 layouts, text (one line template per report, its fields the report's own
-keys, plus tables) and one CSV table, and a JSON emitter: indented
-json.dumps, except that count (one class per line) and grover simulate (the
-trace spelled from float reprs, as json.dumps spells it) stream their long
-list, preformatted item by item, after the indented head.
+keys, plus tables) and one CSV table, and a JSON emitter with the bytes of
+indented json.dumps: count (one class per line) and grover simulate (the trace
+spelled from float reprs) stream their long list, preformatted item by item,
+after the indented head; analyze fills one template, laid out once by
+json.dumps, with its values; the rest call json.dumps.
 Output comes chunk by chunk, so a report whose rows are generated on demand
 (the classes of a count) is never held whole. Each builder imports the module
 it reports on, and each emitter json or csv, only when called.
@@ -231,8 +232,8 @@ def build_analyze_report(code, source: str) -> dict:
         "code": {
             "name": code.name,
             "id": code.id,
-            "sense_codon_count": len(code.sense_codons),
-            "stop_codon_count": len(code.stop_codons),
+            "sense_codon_count": 64 - code.aas.count(symmetry.STOP),
+            "stop_codon_count": code.aas.count(symmetry.STOP),
             "amino_acid_count": len(code.amino_acid_image),
         },
         "symmetry": {
@@ -296,6 +297,54 @@ def _analyze_text(report) -> list:
     prefixes = _table(("prefix", "products(U,C,A,G)", "distinct", "fully-degenerate"), prefix_rows)
     return [_ANALYZE_TEXT.format(size_profile=profile, classes="\n".join(classes),
                                  prefixes="\n".join(prefixes), **_fields(report))]
+
+
+def _json_skeleton(node):
+    """`node` with each value, a scalar or a list of strings, replaced by "\\0"."""
+    if isinstance(node, dict):
+        return {key: _json_skeleton(value) for key, value in node.items()}
+    if isinstance(node, list) and isinstance(node[0], dict):
+        return list(map(_json_skeleton, node))
+    return "\0"
+
+
+# the template, laid out from the first analyze report emitted rather than from one of its
+# own, which would parse and analyze a table that no caller asked for
+_analyze_json_layout = None
+
+
+def _analyze_json(report) -> list:
+    """The analyze report as json.dumps(report, indent=2) + "\\n" spells it, from one template.
+
+    Keys, their order and the length of every list of objects do not depend on the code, so
+    the first report's layout, with a `{}` slot for each value, serves every report. Values are
+    spelled as json.dumps spells them (a report's floats are finite); a list of strings holds
+    codons or product symbols, which need no escaping.
+    """
+    global _analyze_json_layout
+    if _analyze_json_layout is None:
+        import json
+        text = json.dumps(_json_skeleton(report), indent=2).replace("{", "{{").replace("}", "}}")
+        _analyze_json_layout = text.replace(r'"\u0000"', "{}") + "\n"
+    from json.encoder import encode_basestring_ascii  # how json.dumps escapes a string
+    values = []
+
+    def add(node):  # in json.dumps order; the builder makes every dict and list exactly that
+        for value in node.values() if type(node) is dict else node:
+            kind = type(value)
+            if kind is dict or kind is list and type(value[0]) is dict:
+                add(value)
+            elif kind is list:  # of strings, in a class or a prefix entry
+                values.append('[\n          "' + '",\n          "'.join(value) + '"\n        ]')
+            elif isinstance(value, str):
+                values.append(encode_basestring_ascii(value))
+            elif value is None or isinstance(value, bool):
+                values.append("null" if value is None else "true" if value else "false")
+            else:  # an int or a finite float
+                values.append(repr(value))
+
+    add(report)
+    return [_analyze_json_layout.format(*values)]
 
 
 def _analyze_csv(report) -> tuple:
@@ -449,7 +498,7 @@ def _energy_csv(report) -> tuple:
 # command -> (text layout, CSV table layout, JSON emitter)
 _LAYOUTS = {
     "count": (_count_text, _count_csv, _count_json),
-    "analyze": (_analyze_text, _analyze_csv, _json),
+    "analyze": (_analyze_text, _analyze_csv, _analyze_json),
     "grover": (_grover_text, _grover_csv, _grover_json),
     "energy": (_energy_text, _energy_csv, _json),
 }

@@ -9,6 +9,8 @@ two readings of the same 64 columns is a bug.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codonlab import (
     ALL_CODONS,
@@ -23,7 +25,7 @@ from codonlab import (
     parse_table,
     serialize_table,
 )
-from codonlab.genetic_code import PRODUCT_SYMBOLS, STANDARD_TABLE_TEXT
+from codonlab.genetic_code import PRODUCT_SYMBOLS, STANDARD_TABLE_TEXT, _scan_fields
 
 # Frozen copy of translation table 1, kept separate from the package's own.
 ORACLE_AAS = "FFLLSSSSYY**CC*WLLLLPPPPHHQQRRRRIIIMTTTTNNKKSSRRVVVVAAAADDEEGGGG"
@@ -115,8 +117,10 @@ def test_codon_index_corner_values():
 def test_codon_index_rejects_bad_input():
     with pytest.raises(InvalidParamsError):
         codon_index("AU")
-    with pytest.raises(UnknownLetterError):
+    with pytest.raises(UnknownLetterError, match="^'T' in 'ATG' is not an RNA base$"):
         codon_index("ATG")  # DNA spelling is not an index key
+    with pytest.raises(UnknownLetterError, match="^'x' in 'UxT'"):  # the first bad base
+        codon_index("UxT")
 
 
 # --- parsing ----------------------------------------------------------------
@@ -282,6 +286,131 @@ def test_bad_starts_letter():
     bad = replace_line(STANDARD_TABLE_TEXT, "Starts", "Starts = " + "S" * 64)
     with pytest.raises(TableFormatError, match="unknown letter"):
         parse_table(bad)
+
+
+# --- the error path against a letter-by-letter reference ---------------------
+
+
+def reference_parse_table(text):
+    """parse_table's checks as a scan letter by letter and a codon_index per column.
+
+    The library checks whole lines at once and reads codon indices from a
+    lookup; it must raise what this reference raises, with the same message,
+    line and column. Only the field scan is shared.
+    """
+    fields = _scan_fields(text)
+    for key in ("AAs", "Base1", "Base2", "Base3"):
+        if key not in fields:
+            raise TableFormatError(f"missing field {key!r}")
+
+    def checked(key, allowed):
+        value, line, column = fields[key]
+        value = value.upper()
+        if len(value) != 64:
+            raise TableFormatError(
+                f"{key} must be 64 characters, got {len(value)}", line=line, column=column
+            )
+        for i, char in enumerate(value):
+            if char not in allowed:
+                raise TableFormatError(
+                    f"unknown letter {char!r} in {key}", line=line, column=column + i
+                )
+        return value, line, column
+
+    checked("AAs", PRODUCT_SYMBOLS)
+    base1, base1_line, base1_column = checked("Base1", "TCAGU")
+    base2, base3 = checked("Base2", "TCAGU")[0], checked("Base3", "TCAGU")[0]
+    if "Starts" in fields:
+        checked("Starts", "-M")
+    seen = set()
+    for i in range(64):
+        codon = (base1[i] + base2[i] + base3[i]).replace("T", "U")
+        if codon_index(codon) in seen:
+            raise TableFormatError(
+                f"codon {codon} listed more than once in the Base lines",
+                line=base1_line,
+                column=base1_column + i,
+            )
+        seen.add(codon_index(codon))
+
+
+def reference_check_aas(aas):
+    """GeneticCode's symbol check, letter by letter."""
+    for symbol in aas:
+        if symbol not in PRODUCT_SYMBOLS:
+            raise InvalidParamsError(f"unknown product symbol {symbol!r}")
+
+
+def outcome(call, *args):
+    """What `call` raises, as (type, message, line, column), or None."""
+    try:
+        call(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception itself is compared
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+    return None
+
+
+_TABLE_KEYS = ("AAs", "Starts", "Base1", "Base2", "Base3")
+_ALLOWED = {"AAs": PRODUCT_SYMBOLS, "Starts": "-M", "Base1": "TCAGU", "Base2": "TCAGU",
+            "Base3": "TCAGU"}
+
+
+def _bad_letters(key):
+    return st.characters().filter(lambda c: c.upper() not in _ALLOWED[key])
+
+
+@st.composite
+def defective_tables(draw):
+    """A valid table in a drawn column order and spelling, then one defect."""
+    order = draw(st.permutations(ALL_CODONS))
+    values = {
+        "AAs": draw(st.text(PRODUCT_SYMBOLS, min_size=64, max_size=64)),
+        "Starts": draw(st.text("-M", min_size=64, max_size=64)),
+    }
+    for i in range(3):
+        values[f"Base{i + 1}"] = "".join(codon[i] for codon in order)
+    if draw(st.booleans()):  # DNA spelling
+        values.update({f"Base{i}": values[f"Base{i}"].replace("U", "T") for i in (1, 2, 3)})
+    defect = draw(st.sampled_from(("letter", "length", "duplicate")))
+    key = draw(st.sampled_from(_TABLE_KEYS))
+    value = values[key]
+    if defect == "letter":  # one to three bad letters: the first one is reported
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, 63))
+            value = value[:i] + draw(_bad_letters(key)) + value[i + 1:]
+    elif defect == "length":
+        size = draw(st.integers(0, 130).filter(lambda n: n != 64))
+        value = (value * 3)[:size]
+    else:  # column `dst` repeats column `src` in all three Base lines
+        src, dst = draw(st.lists(st.integers(0, 63), min_size=2, max_size=2, unique=True))
+        for base in ("Base1", "Base2", "Base3"):
+            line = values[base]
+            values[base] = line[:dst] + line[src] + line[dst + 1:]
+        key, value = "AAs", values["AAs"]
+    values[key] = value
+    lower = draw(st.booleans())
+    lines = [f"{k:<6} = {v.lower() if lower else v}" for k, v in values.items()]
+    return "name   = drawn\nid     = 7\n" + "\n".join(lines) + "\n"
+
+
+@given(defective_tables())
+@settings(max_examples=300, deadline=None)
+def test_parse_errors_match_the_letter_by_letter_reference(text):
+    expected = outcome(reference_parse_table, text)
+    assert expected is not None  # every defect is an error
+    assert outcome(parse_table, text) == expected
+
+
+@given(st.text(PRODUCT_SYMBOLS, min_size=64, max_size=64),
+       st.lists(st.tuples(st.integers(0, 63), st.characters().filter(
+           lambda c: c not in PRODUCT_SYMBOLS)), min_size=1, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_code_symbol_errors_match_the_letter_by_letter_reference(aas, bad):
+    for i, char in bad:
+        aas = aas[:i] + char + aas[i + 1:]
+    expected = outcome(reference_check_aas, aas)
+    assert expected is not None
+    assert outcome(GeneticCode, "x", None, aas) == expected
 
 
 # --- GeneticCode validation -------------------------------------------------

@@ -23,6 +23,8 @@ GOLDEN = ROOT / "tests" / "golden"
 
 # Relative to ROOT, so the report's `source` does not depend on the checkout.
 TABLE = "tests/golden/vertebrate_mitochondrial.table"
+# A name with a quote, a backslash, a non-ASCII and an astral character, to pin JSON escapes.
+ESCAPED_NAME_TABLE = "tests/golden/escaped_name.table"
 
 CASES = {
     "count": ["count", "--k", "4", "--r", "3"],
@@ -32,6 +34,7 @@ CASES = {
     "analyze-builtin": ["analyze", "--builtin", "standard"],
     "analyze-random-seed": ["analyze", "--random-seed", "7"],
     "analyze-table": ["analyze", "--table", TABLE],
+    "analyze-escaped-name": ["analyze", "--table", ESCAPED_NAME_TABLE],
     "grover-solve-n": ["grover", "solve-n", "--q", "3"],
     "grover-solve-q": ["grover", "solve-q", "--n", "20.2"],
     "grover-simulate": ["grover", "simulate", "--n", "20", "--q", "3", "--marked", "11"],

@@ -23,6 +23,7 @@ import codonlab
 from codonlab import (
     DEFAULT_CLASS_CAP,
     DEFAULT_SIM_CAP,
+    GeneticCode,
     PhysicalParams,
     builtin_standard_code,
     class_size,
@@ -32,7 +33,7 @@ from codonlab import (
     symmetry,
 )
 from codonlab.cli import main
-from codonlab.genetic_code import STANDARD_TABLE_TEXT, parse_table
+from codonlab.genetic_code import PRODUCT_SYMBOLS, STANDARD_TABLE_TEXT, parse_table
 from codonlab.reports import (
     build_analyze_report,
     build_count_report,
@@ -450,6 +451,25 @@ def test_simulate_emitters_match_reference_renderings(args):
     assert render(report, "json") == json.dumps(report, indent=2) + "\n"
     assert render(report, "text") == reference_simulate_text(report)
     assert render(report, "csv") == reference_simulate_csv(report)
+
+
+@given(
+    aas=st.one_of(st.text(PRODUCT_SYMBOLS, min_size=64, max_size=64),
+                  st.sampled_from(PRODUCT_SYMBOLS).map(lambda symbol: symbol * 64)),
+    symmetrize=st.booleans(),
+    name=st.text(),
+    table_id=st.none() | st.integers(),
+    source=st.text(),
+)
+@example(aas=builtin_standard_code().aas, symmetrize=False, name="Standard", table_id=1,
+         source="builtin:standard")
+@example(aas="*" * 64, symmetrize=False, name="stops", table_id=None, source="random")
+@settings(max_examples=150, deadline=None)
+def test_analyze_json_template_matches_json_dumps(aas, symmetrize, name, table_id, source):
+    if symmetrize:
+        aas = symmetry.symmetrized_code(GeneticCode(name="", id=None, aas=aas)).aas
+    report = build_analyze_report(GeneticCode(name=name, id=table_id, aas=aas), source)
+    assert render(report, "json") == json.dumps(report, indent=2) + "\n"
 
 
 # --- energy ----------------------------------------------------------------
