@@ -228,11 +228,13 @@ def _write(chunks, output) -> None:
     """
     if output in (None, "-"):
         try:
+            if sys.stdout is None:  # the run started with stdout closed
+                raise OSError("stdout is closed")
             sys.stdout.writelines(chunks)
             sys.stdout.flush()
-        except OSError as exc:  # say, a reader that stopped early (`| head`)
-            # point stdout at nothing, so the interpreter's last flush cannot fail again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, UnicodeEncodeError) as exc:  # `| head`, or no letter in its encoding
+            if sys.stdout is not None:  # point it at nothing, so the last flush cannot fail again
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             raise InvalidParamsError(f"cannot write the report to stdout: {exc}") from exc
         return
     try:

@@ -68,6 +68,8 @@ class GeneticCode(Record):
     starts: frozenset[str] = frozenset()
 
     def _check(self):
+        if not (self.id is None or type(self.id) is int):  # not a bool, a float or a str
+            raise InvalidParamsError(f"id must be an integer or None, got {self.id!r}")
         if len(self.aas) != 64:
             raise InvalidParamsError(f"aas must have 64 symbols, got {len(self.aas)}")
         if self.aas.strip(PRODUCT_SYMBOLS):  # empty exactly when every symbol is known

@@ -11,7 +11,7 @@ class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         fields = tuple(cls.__annotations__)  # its own, in order (Python 3.10+)
-        # object.__setattr__ per field, as in dataclasses: no per-instance dict, faster reads
+        # object.__setattr__ per field, as in dataclasses, since __setattr__ refuses assignment
         namespace = {"setattr": object.__setattr__}
         exec(f"def __init__(self, {', '.join(fields)}):\n"  # the names are the class's annotations
              + "".join(f"    setattr(self, {name!r}, {name})\n" for name in fields)

@@ -1,18 +1,17 @@
 """Report construction and deterministic rendering (text, JSON, CSV).
 
-Builders assemble plain dicts with stable key order. Each command has two
-layouts, text (one line template per report, its fields the report's own
-keys, plus tables) and one CSV table, and a JSON emitter with the bytes of
-indented json.dumps: count (one class per line) and grover simulate (the trace
-spelled from float reprs) stream their long list, preformatted item by item,
-after the indented head; analyze fills one template, laid out once by
-json.dumps, with its values; the rest call json.dumps.
-Output comes chunk by chunk, so a report whose rows are generated on demand
-(the classes of a count) is never held whole. Each builder imports the module
-it reports on, and each emitter json or csv, only when called.
-Floats are rounded to 12 significant digits at build time, so every format
-encodes identical values and repeated runs over identical inputs produce
-byte-identical output.
+Builders assemble plain dicts with stable key order. Each command, as the CLI
+names it (`count --skip-classes` and each grover mode are commands of their own),
+has one row of layouts, and only `emit` reads a report's shape to pick it: a text
+layout (a line template filled from the report's own keys, or a function that
+adds tables), one CSV table, and a JSON emitter with the bytes of indented
+json.dumps: count and grover simulate stream their long list, preformatted item
+by item, after the indented head; analyze fills one template, laid out once by
+json.dumps; the rest call json.dumps. Output comes chunk by chunk, so a report
+whose rows are generated on demand (the classes of a count) is never held whole.
+Each builder imports the module it reports on, and each emitter json or csv,
+only when called. Floats are rounded to 12 significant digits at build time, so
+every format encodes identical values and repeated runs are byte-identical.
 """
 
 import io
@@ -154,8 +153,6 @@ def _count_survey(report):
 
 
 def _count_text(report):
-    if "classes" not in report:
-        return [_COUNT_SKIPPED_TEXT.format_map(_fields(report))]
     holds, widest = _count_survey(report)
     identity = "ok (class sizes sum to k^r)" if holds else "VIOLATED"
     r = report["r"]
@@ -173,8 +170,6 @@ def _count_json(report):
     Letters are JSON-escaped one by one, which escapes every word spelled
     from them.
     """
-    if "classes" not in report:
-        return _json(report)
     import json
     classes = report["classes"]
     head = {key: value for key, value in report.items() if key != "classes"}
@@ -186,9 +181,11 @@ def _count_json(report):
 
 
 def _count_csv(report) -> tuple:
-    if "classes" not in report:
-        return ("quantity", "value"), _fields(report).items()
     return ("word", "counts", "size"), report["classes"].rows(sep=":")
+
+
+def _count_skipped_csv(report) -> tuple:
+    return ("quantity", "value"), _fields(report).items()
 
 
 # --- analyze ---------------------------------------------------------------
@@ -355,17 +352,15 @@ def _analyze_csv(report) -> tuple:
 # --- grover ---------------------------------------------------------------
 
 _QUERY_RELATION = "Query relation: (2q+1) * asin(1/sqrt(n)) = pi/2\n"
-_GROVER_TEXT = {  # mode -> template; a simulate report's trace table follows its template
-    "solve-n": _QUERY_RELATION + "  q = {q}\n  n = {n_solved}",
-    "solve-q": _QUERY_RELATION + "  n = {n}\n  q = {q_solved} (rounded: {q_rounded})",
-    "simulate": (
-        "Search simulation: n = {n}, q = {q}, marked index {marked}\n"
-        "  final marked probability: {final_marked_probability}\n"
-        "  closed-form probability:  {closed_form_probability}\n"
-        "  |difference|:             {difference}\n"
-        "  max norm drift:           {max_norm_drift}\n"
-    ),
-}
+_SOLVE_N_TEXT = _QUERY_RELATION + "  q = {q}\n  n = {n_solved}"
+_SOLVE_Q_TEXT = _QUERY_RELATION + "  n = {n}\n  q = {q_solved} (rounded: {q_rounded})"
+_SIMULATE_TEXT = (  # the trace table follows
+    "Search simulation: n = {n}, q = {q}, marked index {marked}\n"
+    "  final marked probability: {final_marked_probability}\n"
+    "  closed-form probability:  {closed_form_probability}\n"
+    "  |difference|:             {difference}\n"
+    "  max norm drift:           {max_norm_drift}\n"
+)
 
 
 def build_grover_solve_n_report(q: int) -> dict:
@@ -412,31 +407,29 @@ def build_grover_simulate_report(n: int, q: int, marked: int, *, cap: int | None
     }
 
 
-def _grover_text(report):
-    head = _GROVER_TEXT[report["mode"]].format_map(_fields(report))
-    if report["mode"] != "simulate":
-        return [head]
+def _solve_csv(report) -> tuple:
+    fields = _fields(report)
+    return tuple(fields), [fields.values()]  # one row of the report's fields
+
+
+def _simulate_text(report):
     trace = report["trace"]
     # the trace table as preformatted rows; as in a _table, the last column is not padded
     width = max(len("iteration"), len(str(len(trace) - 1)))
     row = f"{{:<{width}}}  {{:.{SIGNIFICANT_DIGITS}g}}".format
     header = f"{'iteration':<{width}}  marked_probability"
+    head = _SIMULATE_TEXT.format_map(_fields(report))
     return itertools.chain([head, header], map(row, range(len(trace)), trace))
 
 
-def _grover_csv(report) -> tuple:
-    if report["mode"] != "simulate":  # one row of the report's fields
-        fields = _fields(report)
-        return tuple(fields), [fields.values()]
+def _simulate_csv(report) -> tuple:
     trace = report["trace"]
     rows = zip(range(len(trace)), map(_format_float, trace))
     return ("iteration", "marked_probability"), rows
 
 
-def _grover_json(report):
+def _simulate_json(report):
     """A simulate report as JSON, its trace spelled as json.dumps spells finite floats."""
-    if report["mode"] != "simulate":
-        return _json(report)
     head = {key: value for key, value in report.items() if key != "trace"}
     return _json_with_list(head, "trace", map(float.__repr__, report["trace"]))
 
@@ -481,10 +474,6 @@ def build_energy_report(params, scale_factor: float) -> dict:
     }
 
 
-def _energy_text(report) -> list:
-    return [_ENERGY_TEXT.format_map(_fields(report))]
-
-
 def _energy_csv(report) -> tuple:
     names = ("hbar_erg_s", "delta_x_cm", "mass_g", "hbond_energy_erg",
              "momentum_uncertainty_g_cm_s", "fluctuation_energy_erg", "fluctuation_energy_ev",
@@ -495,24 +484,33 @@ def _energy_csv(report) -> tuple:
 
 # --- dispatch ---------------------------------------------------------------
 
-# command -> (text layout, CSV table layout, JSON emitter)
+# command as the CLI names it -> (text layout or line template, CSV table layout, JSON emitter)
 _LAYOUTS = {
     "count": (_count_text, _count_csv, _count_json),
+    "count --skip-classes": (_COUNT_SKIPPED_TEXT, _count_skipped_csv, _json),
     "analyze": (_analyze_text, _analyze_csv, _analyze_json),
-    "grover": (_grover_text, _grover_csv, _grover_json),
-    "energy": (_energy_text, _energy_csv, _json),
+    "grover solve-n": (_SOLVE_N_TEXT, _solve_csv, _json),
+    "grover solve-q": (_SOLVE_Q_TEXT, _solve_csv, _json),
+    "grover simulate": (_simulate_text, _simulate_csv, _simulate_json),
+    "energy": (_ENERGY_TEXT, _energy_csv, _json),
 }
 
 
 def emit(report: dict, fmt: str = "text"):
     """A built report in one of the three formats, as an iterator of text chunks.
 
-    The format is checked, and a count's counts-only pass made, before the
-    iterator is returned, so a failure leaves nothing half emitted.
+    Only here is a report's shape (command, mode, a count's classes) read, to pick
+    its layouts. The format is checked, and a count's counts-only pass made, before
+    the iterator is returned, so a failure leaves nothing half emitted.
     """
-    text_layout, csv_layout, json_emitter = _LAYOUTS[report["command"]]
+    command = " ".join(filter(None, (report["command"], report.get("mode"))))
+    if command == "count" and "classes" not in report:
+        command += " --skip-classes"
+    text_layout, csv_layout, json_emitter = _LAYOUTS[command]
     if fmt == "text":
-        return itertools.chain(_chunked(text_layout(report)), ["\n"])
+        lines = (text_layout(report) if callable(text_layout)
+                 else [text_layout.format_map(_fields(report))])
+        return itertools.chain(_chunked(lines), ["\n"])
     if fmt == "csv":
         return _csv(*csv_layout(report))
     if fmt == "json":

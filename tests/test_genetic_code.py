@@ -6,6 +6,7 @@ library under test never sees this dict; any disagreement between the
 two readings of the same 64 columns is a bug.
 """
 
+import json
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from codonlab import (
     serialize_table,
 )
 from codonlab.genetic_code import PRODUCT_SYMBOLS, STANDARD_TABLE_TEXT, _scan_fields
+from codonlab.reports import build_analyze_report, render
 
 # Frozen copy of translation table 1, kept separate from the package's own.
 ORACLE_AAS = "FFLLSSSSYY**CC*WLLLLPPPPHHQQRRRRIIIMTTTTNNKKSSRRVVVVAAAADDEEGGGG"
@@ -419,6 +421,24 @@ def test_code_symbol_errors_match_the_letter_by_letter_reference(aas, bad):
 def test_code_rejects_wrong_aas_length():
     with pytest.raises(InvalidParamsError):
         GeneticCode(name="x", id=None, aas="M" * 63)
+
+
+@pytest.mark.parametrize("bad_id", [float("nan"), float("inf"), 2.5, 7.0, "7", True, False])
+def test_code_rejects_an_id_that_is_not_none_or_an_int(bad_id):
+    # analyze JSON would spell a float id `nan`, `inf` or `7.0`, a str "7" and a bool true
+    with pytest.raises(InvalidParamsError, match="id must be an integer or None"):
+        GeneticCode(name="x", id=bad_id, aas="M" * 64)
+
+
+@pytest.mark.parametrize("good_id", [None, 0, 1, -3, 10**30])
+def test_code_accepts_none_or_an_int_id(good_id):
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    code = GeneticCode(name="x", id=good_id, aas="M" * 64)
+    assert code.id == good_id
+    report = json.loads(render(build_analyze_report(code, "s"), "json"), parse_constant=refuse)
+    assert report["code"]["id"] == good_id
 
 
 def test_code_rejects_unknown_product_symbols():

@@ -820,6 +820,12 @@ def test_round_sig_pins_emission_precision():
     assert round_sig(123456789.0) == 123456789.0
 
 
+def test_one_layout_row_per_command_as_the_cli_names_it():
+    from codonlab.cli import COMMANDS
+    leaves = {command for command, (_, options) in COMMANDS.items() if options is not None}
+    assert set(reports._LAYOUTS) == leaves | {"count --skip-classes"}
+
+
 def test_json_reports_end_with_newline():
     for argv in (
         ("count", "--k", "2", "--r", "2"),
@@ -926,6 +932,48 @@ def test_reader_closing_stdout_early_exits_2_without_traceback():
     err = child.stderr.read().decode()
     assert child.wait(timeout=60) == 2
     assert err == "error: cannot write the report to stdout: [Errno 32] Broken pipe\n"
+
+
+def _closed_stdout_run(argv):
+    """`python -m codonlab ARGV` started with no stdout at all, as `>&-` starts it."""
+    return subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "codonlab",
+                           *argv], stderr=subprocess.PIPE, timeout=60)
+
+
+@pytest.mark.parametrize("argv", [
+    ["energy"],
+    ["count", "--k", "4", "--r", "3"],
+    ["grover", "solve-n", "--q", "3"],
+    ["analyze", "--builtin", "standard", "--format", "json"],
+])
+def test_a_closed_stdout_exits_2_without_traceback(argv):
+    result = _closed_stdout_run(argv)
+    assert result.returncode == 2
+    assert result.stderr == b"error: cannot write the report to stdout: stdout is closed\n"
+
+
+def test_a_closed_stdout_does_not_stop_a_report_to_a_file(tmp_path):
+    target = tmp_path / "energy.txt"
+    result = _closed_stdout_run(["energy", "-o", str(target)])
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert target.read_text(encoding="utf-8") == run_cli("energy")[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--k", "2", "--r", "1", "--alphabet", "\u00e9a"],
+    ["count", "--k", "2", "--r", "3", "--alphabet", "a\u00e9", "--format", "csv"],
+    ["analyze", "--table", str(GOLDEN / "escaped_name.table")],
+])
+def test_a_stdout_that_cannot_spell_the_report_exits_2_with_nothing_written(argv):
+    env = dict(os.environ, PYTHONIOENCODING="ascii")
+    result = subprocess.run([sys.executable, "-m", "codonlab", *argv], capture_output=True,
+                            env=env, timeout=60)
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert result.stderr.startswith(b"error: cannot write the report to stdout: 'ascii' codec")
+    # the same report in JSON escapes every non-ASCII letter, so that stdout can hold it
+    assert subprocess.run([sys.executable, "-m", "codonlab", *argv, "--format", "json"],
+                          capture_output=True, env=env, timeout=60).returncode == 0
 
 
 @pytest.mark.parametrize(
