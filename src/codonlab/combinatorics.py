@@ -139,8 +139,8 @@ class MultisetClasses:
         return math.comb(len(self.alphabet) + self.r - 1, self.r)
 
     def __iter__(self):
-        for word, _, _ in self.rows():
-            yield canonicalize(word, self.alphabet)
+        for word, counts, _ in self.rows():
+            yield MultisetClass(word, tuple(map(int, counts.split(","))), self.alphabet)
 
     def rows(self, letters=None, sep: str = ","):
         """Yield (word, counts, size) per class without building a class object.
@@ -148,34 +148,29 @@ class MultisetClasses:
         `word` spells the class with `letters`, one string per alphabet
         letter (default the alphabet itself); `counts` is the occupancy
         vector as text joined by `sep`; `size` is the multinomial
-        r! / prod(counts!). The vectors are generated slot by slot, the
-        first letter's count descending from r, carrying the word, the counts
-        text and the multinomial as a running product of binomials
-        C(left, c) along the prefix.
+        r! / prod(counts!). The vectors are walked depth first from a stack
+        of prefixes, each carrying the word, the counts text and the
+        multinomial as a running product of binomials C(left, c). A prefix
+        at the last slot, or with no letters left, is one class: the rest of
+        its letters go to its own slot and the later slots count zero. Any
+        other prefix pushes its children in ascending count, so the highest
+        count pops first and the classes come in ascending canonical word.
         """
         letters = self.alphabet if letters is None else tuple(letters)
-        r, last = self.r, len(letters) - 1
-        if last == 0:
-            yield letters[0] * r, str(r), 1
-            return
-        ends = [str(c) for c in range(r + 1)]
+        last = len(letters) - 1
+        ends = [str(c) for c in range(self.r + 1)]
         digits = [end + sep for end in ends]
         comb = math.comb
-
-        def fill(i, left, word, counts, size):
+        stack = [(0, self.r, "", "", 1)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            i, left, word, counts, size = pop()
+            if i == last or not left:
+                yield word + letters[i] * left, counts + digits[0] * (last - i) + ends[left], size
+                continue
             letter = letters[i]
-            if i + 1 < last:
-                for c in range(left, -1, -1):
-                    yield from fill(i + 1, left - c, word + letter * c, counts + digits[c],
-                                    size * comb(left, c))
-                return
-            # the last two slots: whatever the second-to-last leaves goes to the last
-            tail = letters[last]
-            for c in range(left, -1, -1):
-                yield (word + letter * c + tail * (left - c), counts + digits[c] + ends[left - c],
-                       size * comb(left, c))
-
-        yield from fill(0, r, "", "", 1)
+            for c in range(left + 1):
+                push((i + 1, left - c, word + letter * c, counts + digits[c], size * comb(left, c)))
 
 
 def enumerate_multisets(k: int, r: int, *, alphabet=None,

@@ -26,6 +26,14 @@ def _check_int(value, name: str, minimum: int) -> int:
     return value
 
 
+def _float(value, name: str) -> float:
+    """`value` as a float by arithmetic, not float(), so a string stays a TypeError."""
+    try:
+        return value + 0.0
+    except OverflowError:
+        raise InvalidParamsError(f"{name} is too large for a float") from None
+
+
 def solve_n(q) -> float:
     """Database size searchable with certainty in q queries.
 
@@ -34,10 +42,7 @@ def solve_n(q) -> float:
     """
     if q < 0:
         raise InvalidParamsError(f"q must be >= 0, got {q}")
-    try:
-        s = math.sin(math.pi / (2.0 * (2.0 * float(q) + 1.0)))
-    except OverflowError:
-        raise InvalidParamsError("q is too large for a float") from None
+    s = math.sin(math.pi / (2.0 * (2.0 * _float(q, "q") + 1.0)))
     n = 1.0 / (s * s) if s * s else math.inf
     if not math.isfinite(n):
         raise InvalidParamsError(f"q={float(q):.6g} gives no finite database size")
@@ -50,7 +55,7 @@ def solve_q(n) -> float:
     Analytic inversion q = (pi / (2 asin(1/sqrt(n))) - 1) / 2. Real-valued;
     callers wanting whole queries round the result.
     """
-    if not (math.isfinite(n) and n >= 1):
+    if not (math.isfinite(_float(n, "n")) and n >= 1):
         raise InvalidParamsError(f"n must be finite and >= 1, got {n}")
     return (math.pi / (2.0 * math.asin(1.0 / math.sqrt(n))) - 1.0) / 2.0
 
@@ -63,8 +68,8 @@ def success_probability(n: int, q: int) -> float:
     """
     _check_int(n, "n", 2)
     _check_int(q, "q", 0)
-    theta = math.asin(1.0 / math.sqrt(n))
-    return math.sin((2 * q + 1) * theta) ** 2
+    theta = math.asin(1.0 / math.sqrt(_float(n, "n")))
+    return math.sin(_float(2 * q + 1, "q") * theta) ** 2
 
 
 class GroverRun(Record):

@@ -7,6 +7,7 @@ that the oracle reproduced before it was frozen into the test.
 
 import itertools
 import math
+import unicodedata
 from collections import Counter
 
 import pytest
@@ -144,12 +145,23 @@ def test_enumeration_cap():
         enumerate_multisets(1, 10**18)
 
 
-@pytest.mark.parametrize("k", range(1, 6))
-@pytest.mark.parametrize("r", range(0, 6))
-def test_rows_spell_every_class_in_order(k, r):
-    alphabet = generic_alphabet(k)
+def one_column_letters(k):
+    """The first k letters from U+0100 up that print one column wide, in code-point order."""
+    letters = (c for c in map(chr, range(0x100, 0x10000))
+               if unicodedata.category(c) in ("Lu", "Ll")
+               and unicodedata.east_asian_width(c) not in ("W", "F"))
+    return tuple(itertools.islice(letters, k))
+
+
+# an alphabet of 2,000 letters is past any recursion limit of one frame per letter
+ROW_CASES = [(generic_alphabet(k), r) for k in range(1, 6) for r in range(0, 6)]
+ROW_CASES += [(one_column_letters(2000), 1), (one_column_letters(60), 2)]
+
+
+@pytest.mark.parametrize("alphabet, r", ROW_CASES, ids=[f"{r}-{len(a)}" for a, r in ROW_CASES])
+def test_rows_spell_every_class_in_order(alphabet, r):
     oracle = brute_class_sizes(alphabet, r)
-    classes = enumerate_multisets(k, r)
+    classes = enumerate_multisets(len(alphabet), r, alphabet=alphabet)
     rows = list(classes.rows())
     assert [word for word, _, _ in rows] == sorted(oracle)
     for word, counts, size in rows:

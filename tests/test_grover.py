@@ -85,10 +85,10 @@ def test_closed_form_domain_errors():
     for bad_q in (-1, 10**309, 10**160, math.inf, math.nan):
         with pytest.raises(InvalidParamsError):
             solve_n(bad_q)
-    for bad_n in (0.5, math.nan, math.inf):
+    for bad_n in (0.5, math.nan, math.inf, 10**400):
         with pytest.raises(InvalidParamsError):
             solve_q(bad_n)
-    for bad_args in [(1, 1), (4.0, 1), (4, -1), (4, 1.5), (True, 1)]:
+    for bad_args in [(1, 1), (4.0, 1), (4, -1), (4, 1.5), (True, 1), (2**2000, 1), (4, 10**400)]:
         with pytest.raises(InvalidParamsError):
             success_probability(*bad_args)
 

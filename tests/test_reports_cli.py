@@ -43,6 +43,7 @@ from codonlab.reports import (
     round_sig,
 )
 from codonlab.errors import InvalidParamsError
+from test_combinatorics import one_column_letters
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXTENSIONS = {"text": "txt", "json": "json", "csv": "csv"}
@@ -196,6 +197,18 @@ def test_count_quotes_and_escapes_special_letters(alphabet):
     assert code == 0
     assert [c["word"] for c in strict_json(out)["classes"]] == [
         c.canonical_word for c in classes]
+
+
+def test_count_walks_an_alphabet_of_any_size():
+    alphabet = "".join(one_column_letters(2000))
+    outputs = {}
+    for fmt in EXTENSIONS:
+        code, outputs[fmt], err = run_cli("count", "--k", "2000", "--r", "1",
+                                          "--alphabet", alphabet, "--format", fmt)
+        assert (code, err) == (0, "")
+    assert [c["word"] for c in strict_json(outputs["json"])["classes"]] == list(alphabet)
+    assert [row[0] for row in csv.reader(io.StringIO(outputs["csv"]))][1:] == list(alphabet)
+    assert len(outputs["text"].splitlines()) > 2000
 
 
 def test_count_json_has_one_class_per_line():
