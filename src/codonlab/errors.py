@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number check that raises one."""
 
 
 class CodonLabError(Exception):
@@ -36,3 +36,13 @@ class TableFormatError(CodonLabError, ValueError):
         elif line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def as_float(value, name: str) -> float:
+    """`value` as a float by arithmetic, not float(), so a string is refused, not parsed."""
+    try:
+        return value + 0.0
+    except TypeError:
+        raise InvalidParamsError(f"{name} must be a number, got {value!r}") from None
+    except OverflowError:
+        raise InvalidParamsError(f"{name} is too large for a float") from None

@@ -12,7 +12,7 @@ diffusion steps never introduce complex phases.
 
 import math
 
-from .errors import CapacityExceededError, InvalidParamsError
+from .errors import CapacityExceededError, InvalidParamsError, as_float
 from .record import Record
 
 DEFAULT_SIM_CAP = 2**20
@@ -26,26 +26,19 @@ def _check_int(value, name: str, minimum: int) -> int:
     return value
 
 
-def _float(value, name: str) -> float:
-    """`value` as a float by arithmetic, not float(), so a string stays a TypeError."""
-    try:
-        return value + 0.0
-    except OverflowError:
-        raise InvalidParamsError(f"{name} is too large for a float") from None
-
-
 def solve_n(q) -> float:
     """Database size searchable with certainty in q queries.
 
     Analytic inversion n = 1 / sin^2(pi / (2(2q+1))); q = 0 gives 1 and the
     result grows monotonically with q.
     """
-    if q < 0:
+    x = as_float(q, "q")
+    if x < 0:
         raise InvalidParamsError(f"q must be >= 0, got {q}")
-    s = math.sin(math.pi / (2.0 * (2.0 * _float(q, "q") + 1.0)))
+    s = math.sin(math.pi / (2.0 * (2.0 * x + 1.0)))
     n = 1.0 / (s * s) if s * s else math.inf
     if not math.isfinite(n):
-        raise InvalidParamsError(f"q={float(q):.6g} gives no finite database size")
+        raise InvalidParamsError(f"q={x:.6g} gives no finite database size")
     return n
 
 
@@ -55,7 +48,7 @@ def solve_q(n) -> float:
     Analytic inversion q = (pi / (2 asin(1/sqrt(n))) - 1) / 2. Real-valued;
     callers wanting whole queries round the result.
     """
-    if not (math.isfinite(_float(n, "n")) and n >= 1):
+    if not (math.isfinite(as_float(n, "n")) and n >= 1):
         raise InvalidParamsError(f"n must be finite and >= 1, got {n}")
     return (math.pi / (2.0 * math.asin(1.0 / math.sqrt(n))) - 1.0) / 2.0
 
@@ -68,8 +61,8 @@ def success_probability(n: int, q: int) -> float:
     """
     _check_int(n, "n", 2)
     _check_int(q, "q", 0)
-    theta = math.asin(1.0 / math.sqrt(_float(n, "n")))
-    return math.sin(_float(2 * q + 1, "q") * theta) ** 2
+    theta = math.asin(1.0 / math.sqrt(as_float(n, "n")))
+    return math.sin(as_float(2 * q + 1, "q") * theta) ** 2
 
 
 class GroverRun(Record):

@@ -9,7 +9,7 @@ and an infinite one raises InvalidParamsError.
 
 import math
 
-from .errors import InvalidParamsError
+from .errors import InvalidParamsError, as_float
 from .record import Record
 
 ERG_PER_JOULE = 1e7
@@ -38,7 +38,7 @@ class PhysicalParams(Record):
 
     def _check(self):
         for name, value in self.__dict__.items():
-            if not (value > 0 and math.isfinite(value)):
+            if not (as_float(value, name) > 0 and math.isfinite(value)):
                 raise InvalidParamsError(f"{name} must be positive and finite, got {value!r}")
 
 
@@ -49,8 +49,9 @@ def momentum_uncertainty(params: PhysicalParams) -> float:
 
 def kinetic_energy(dp: float, mass: float) -> float:
     """Kinetic energy dp^2 / (2 m) carried by a momentum spread dp (erg)."""
-    if not mass > 0:
+    if not as_float(mass, "mass") > 0:
         raise InvalidParamsError(f"mass must be positive, got {mass!r}")
+    dp = as_float(dp, "dp")
     return _finite(dp * dp / (2.0 * mass), "kinetic_energy")
 
 
@@ -82,7 +83,7 @@ def scale_comparison(params: PhysicalParams, scale_factor: float) -> ScaleCompar
     c = 3) rather than a rounded quotient; direct evaluation at the scaled
     length agrees to floating-point rounding.
     """
-    if not (scale_factor > 0 and math.isfinite(scale_factor)):
+    if not (as_float(scale_factor, "scale_factor") > 0 and math.isfinite(scale_factor)):
         raise InvalidParamsError(f"scale_factor must be positive and finite, got {scale_factor!r}")
     energy_base = fluctuation_energy(params)
     square = scale_factor * scale_factor
@@ -93,8 +94,8 @@ def scale_comparison(params: PhysicalParams, scale_factor: float) -> ScaleCompar
 
 
 def erg_to_joule(energy: float) -> float:
-    return energy / ERG_PER_JOULE
+    return as_float(energy, "energy") / ERG_PER_JOULE
 
 
 def erg_to_ev(energy: float) -> float:
-    return _finite(energy / ERG_PER_EV, "energy in eV")
+    return _finite(as_float(energy, "energy") / ERG_PER_EV, "energy in eV")

@@ -7,21 +7,23 @@ layout (a line template filled from the report's own keys, or a function that
 adds tables), one CSV table, and a JSON emitter with the bytes of indented
 json.dumps: count and grover simulate stream their long list, preformatted item
 by item, after the indented head; analyze fills one template, laid out once by
-json.dumps; the rest call json.dumps. Output comes chunk by chunk, so a report
+json.dumps; the rest call json.dumps. Text lines, the items of a JSON list and
+CSV rows all leave through one chunker, CHUNK_LINES lines at a time, so a report
 whose rows are generated on demand (the classes of a count) is never held whole.
+A text table formats each line with one call and pads every cell but the last,
+which is never empty and never ends in whitespace.
 Each builder imports the module it reports on, and each emitter json or csv,
 only when called. Floats are rounded to 12 significant digits at build time, so
 every format encodes identical values and repeated runs are byte-identical.
 """
 
-import io
 import itertools
 from collections import Counter
 
 from .errors import InvalidParamsError
 
 SIGNIFICANT_DIGITS = 12
-CHUNK_LINES = 4096  # lines per emitted chunk
+CHUNK_LINES = 256  # lines per emitted chunk
 _format_float = f"{{:.{SIGNIFICANT_DIGITS}g}}".format
 
 
@@ -62,33 +64,26 @@ def _fields(report) -> dict:
 
 
 def _table(headers, rows, widths=None):
-    """A table's lines, each string cell left-aligned; the last column is never padded.
+    """A table's lines, one template.format each: every cell but the last left-aligned and padded.
 
-    Column widths come from the rows, which must then be a list; rows
-    generated on demand come with their widths.
+    The last cell of every row must be non-empty and must not end in whitespace,
+    so no line ends in padding. The padded columns' widths come from the rows,
+    which must then be a list; rows generated on demand come with their widths.
     """
     if widths is None:
-        widths = [max(map(len, column)) for column in zip(headers, *rows)]
-    template = "  ".join(f"{{:<{width}}}" for width in widths)
-    yield template.format(*headers).rstrip()
-    for row in rows:
-        yield template.format(*row).rstrip()
+        widths = [max(map(len, column)) for column in zip(headers[:-1], *rows)]
+    template = "".join(f"{{:<{width}}}  " for width in widths) + "{}"
+    return itertools.chain([template.format(*headers)], itertools.starmap(template.format, rows))
+
+
+class _Lines:  # a csv.writer target whose write returns the line, so writerow returns it too
+    write = str
 
 
 def _csv(headers, rows):
     import csv
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(headers)
-    rows = iter(rows)
-    while True:
-        writer.writerows(itertools.islice(rows, CHUNK_LINES))
-        chunk = buffer.getvalue()
-        if not chunk:
-            return
-        yield chunk
-        buffer.seek(0)
-        buffer.truncate()
+    writer = csv.writer(_Lines(), lineterminator="\n")
+    return _chunked(map(writer.writerow, itertools.chain([headers], rows)), "")
 
 
 def _json(report):
@@ -156,10 +151,9 @@ def _count_text(report):
     holds, widest = _count_survey(report)
     identity = "ok (class sizes sum to k^r)" if holds else "VIOLATED"
     r = report["r"]
-    rows = ((word or "(empty)", counts, str(size))
-            for word, counts, size in report["classes"].rows())
-    # every word has r letters; the last column is never padded, so its width is moot
-    widths = (max(len("word"), r or len("(empty)")), max(len("counts"), widest), len("size"))
+    rows = report["classes"].rows() if r else [("(empty)", ",".join("0" * report["k"]), 1)]
+    # every word has r letters; the last column, the sizes, is not padded
+    widths = (max(len("word"), r or len("(empty)")), max(len("counts"), widest))
     head = _COUNT_CLASSES_TEXT.format(identity=identity, **_fields(report))
     return itertools.chain([head], _table(("word", "counts", "size"), rows, widths))
 

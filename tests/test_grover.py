@@ -82,10 +82,12 @@ def test_success_probability_near_one_at_the_solved_q():
 
 
 def test_closed_form_domain_errors():
-    for bad_q in (-1, 10**309, 10**160, math.inf, math.nan):
+    for bad_q in (-1, 10**309, 10**160, math.inf, math.nan, "5", None):
         with pytest.raises(InvalidParamsError):
             solve_n(bad_q)
-    for bad_n in (0.5, math.nan, math.inf, 10**400):
+    with pytest.raises(InvalidParamsError, match="q must be a number, got '5'"):
+        solve_n("5")
+    for bad_n in (0.5, math.nan, math.inf, 10**400, "5", None):
         with pytest.raises(InvalidParamsError):
             solve_q(bad_n)
     for bad_args in [(1, 1), (4.0, 1), (4, -1), (4, 1.5), (True, 1), (2**2000, 1), (4, 10**400)]:

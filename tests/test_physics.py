@@ -92,7 +92,7 @@ def test_scale_comparison_hbond_ratios():
 
 
 def test_scale_factor_must_be_positive():
-    for bad in (0.0, -1.0, math.nan, math.inf):
+    for bad in (0.0, -1.0, math.nan, math.inf, 10**400, "3", None):
         with pytest.raises(InvalidParamsError):
             scale_comparison(PhysicalParams(), bad)
 
@@ -101,7 +101,8 @@ def test_scale_factor_must_be_positive():
 
 
 @pytest.mark.parametrize("field", ["hbar", "delta_x", "mass", "hbond_energy"])
-@pytest.mark.parametrize("value", [0.0, -1e-20, math.nan, math.inf])
+@pytest.mark.parametrize("value", [0.0, -1e-20, math.nan, math.inf,
+                                   pytest.param(10**400, id="10**400"), "1", None])
 def test_params_must_be_positive(field, value):
     with pytest.raises(InvalidParamsError):
         PhysicalParams(**{field: value})
@@ -121,8 +122,17 @@ def test_overflowing_results_are_rejected():
 
 
 def test_kinetic_energy_rejects_bad_mass():
-    with pytest.raises(InvalidParamsError):
-        kinetic_energy(1e-20, 0.0)
+    for bad in (0.0, 10**400, "2", None):
+        with pytest.raises(InvalidParamsError):
+            kinetic_energy(1e-20, bad)
+
+
+def test_energy_helpers_refuse_non_numbers():
+    for bad in ("2", None, 10**400):
+        for call in (lambda: kinetic_energy(bad, 1.0), lambda: erg_to_ev(bad),
+                     lambda: erg_to_joule(bad)):
+            with pytest.raises(InvalidParamsError):
+                call()
 
 
 def test_unit_conversions():

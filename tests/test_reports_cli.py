@@ -236,19 +236,99 @@ def test_count_reports_stream_in_chunks(monkeypatch):
         assert "".join(chunks) == (GOLDEN / f"count.{EXTENSIONS[fmt]}").read_text()
 
 
+def padded_table(headers, rows, widths=None):
+    """A text table as every column padded, the last too, and each line then right-stripped."""
+    if widths is None:
+        widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    template = "  ".join(f"{{:<{width}}}" for width in widths)
+    return [template.format(*row).rstrip() for row in [headers, *rows]]
+
+
+_CELLS = st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=8)
+_LAST_CELLS = _CELLS.filter(lambda cell: cell and not cell[-1].isspace())
+
+
+@given(data=st.data(), columns=st.integers(1, 6), row_count=st.integers(0, 6),
+       given_widths=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_table_lines_match_padding_every_column(data, columns, row_count, given_widths):
+    row = st.tuples(*[_CELLS] * (columns - 1), _LAST_CELLS)
+    headers = data.draw(row)
+    rows = data.draw(st.lists(row, min_size=row_count, max_size=row_count))
+    widths = None
+    if given_widths:  # a width for each padded column, as a caller of rows on demand gives
+        widths = data.draw(st.lists(st.integers(0, 10), min_size=columns - 1,
+                                    max_size=columns - 1))
+        expected = padded_table(headers, rows, widths + [0])
+        rows = iter(rows)
+    else:
+        expected = padded_table(headers, rows)
+    assert list(reports._table(headers, rows, widths)) == expected
+
+
+def buffered_csv(headers, rows):
+    """A CSV table as csv.writer writes it into one io.StringIO."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows([headers, *rows])
+    return buffer.getvalue()
+
+
+_CSV_CELLS = st.one_of(st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "Z", "\u00e9",
+                                                 "\u03a9", "\u754c"]), max_size=6),
+                       st.integers())
+
+
+CSV_CHUNK = 4  # CHUNK_LINES while the test below renders
+
+
+@given(data=st.data(), columns=st.integers(1, 4),
+       row_count=st.sampled_from([0, 1, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1]))
+@settings(max_examples=200, deadline=None)
+def test_csv_chunks_match_one_buffered_writer(data, columns, row_count):
+    row = st.tuples(*[_CSV_CELLS] * columns)
+    headers = data.draw(row)
+    rows = data.draw(st.lists(row, min_size=row_count, max_size=row_count))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reports, "CHUNK_LINES", CSV_CHUNK)
+        chunks = list(reports._csv(headers, iter(rows)))
+    assert "".join(chunks) == buffered_csv(headers, rows)
+    assert len(chunks) == -(-(row_count + 1) // CSV_CHUNK)  # the header line counts too
+
+
+_PEAK_RSS_LAUNCHER = """
+import os, subprocess, sys
+child = subprocess.Popen([sys.executable, "-m", "codonlab", *sys.argv[1:]],
+                         stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
 def child_peak_rss_kb(*argv):
-    """Peak resident set of one `python -m codonlab` run, from os.wait4."""
-    child = subprocess.Popen([sys.executable, "-m", "codonlab", *argv],
-                             stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(child.pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
-    return usage.ru_maxrss
+    """Peak resident set of one `python -m codonlab` run, from os.wait4 in a small launcher.
+
+    Linux carries a process's peak over the vfork and exec that start its child into
+    the child's ru_maxrss, so a child of this test process would read at least this
+    process's own peak. The launcher, an interpreter without `site`, peaks below any run.
+    """
+    launched = subprocess.run([sys.executable, "-S", "-c", _PEAK_RSS_LAUNCHER, *argv],
+                              capture_output=True, text=True, check=True)
+    code, peak = map(int, launched.stdout.split())
+    assert code == 0
+    return peak
 
 
 def test_count_memory_is_flat_in_class_count():
-    small = child_peak_rss_kb("count", "--k", "5", "--r", "20", "--format", "json")  # 10,626
+    small = {fmt: child_peak_rss_kb("count", "--k", "5", "--r", "20", "--format", fmt)
+             for fmt in EXTENSIONS}  # 10,626 classes
     large = child_peak_rss_kb("count", "--k", "6", "--r", "27", "--format", "json")  # 201,376
-    assert large - small < 4 * 1024
+    assert large - small["json"] < 4 * 1024
+    # and in the row width: 2,000 classes whose counts text is about 4,000 characters long
+    alphabet = "".join(one_column_letters(2000))
+    for fmt in EXTENSIONS:
+        wide = child_peak_rss_kb("count", "--k", "2000", "--r", "1", "--alphabet", alphabet,
+                                 "--format", fmt)
+        assert wide - small[fmt] < 12 * 1024, fmt
 
 
 def test_count_missing_and_invalid_params():
