@@ -10,10 +10,11 @@ All arithmetic in this module is exact big-integer arithmetic; it never
 touches floating point.
 """
 
+import itertools
 import math
 import sys
 
-from .errors import CapacityExceededError, InvalidParamsError, UnknownLetterError
+from .errors import CapacityExceededError, InvalidParamsError, UnknownLetterError, as_int
 from .record import Record
 
 # Canonical total order for nucleotide words (RNA spelling).
@@ -21,6 +22,8 @@ RNA_ALPHABET = ("A", "C", "G", "U")
 
 # Refuse to enumerate more classes than this unless the caller raises the cap.
 DEFAULT_CLASS_CAP = 10**6
+
+BLOCK_CHARS = 1 << 16  # characters held at most in the suffix blocks of one pass over the classes
 
 # Refuse counts with more decimal digits than this (CPython's default int-to-str limit).
 MAX_DIGITS = 4300
@@ -52,14 +55,8 @@ def generic_alphabet(k: int) -> tuple[str, ...]:
 
 
 def _check_k_r(k, r, *, min_k: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise InvalidParamsError(f"k must be an integer, got {k!r}")
-    if not isinstance(r, int) or isinstance(r, bool):
-        raise InvalidParamsError(f"r must be an integer, got {r!r}")
-    if k < min_k:
-        raise InvalidParamsError(f"k must be >= {min_k}, got {k}")
-    if r < 0:
-        raise InvalidParamsError(f"r must be >= 0, got {r}")
+    as_int(k, "k", min_k)
+    as_int(r, "r", 0)
 
 
 def _validated_alphabet(alphabet, k: int) -> tuple[str, ...]:
@@ -72,9 +69,8 @@ def _validated_alphabet(alphabet, k: int) -> tuple[str, ...]:
         raise InvalidParamsError("alphabet letters must be distinct")
     for letter in alphabet:
         if not _fills_one_cell(letter):
-            raise InvalidParamsError(
-                f"alphabet letters must be printable, non-space and one column wide, got {letter!r}"
-            )
+            raise InvalidParamsError("alphabet letters must be printable, non-space and one"
+                                     f" column wide, got {letter!r}")
     return alphabet
 
 
@@ -122,7 +118,28 @@ def multiset_count(k: int, r: int) -> int:
     return math.comb(k + r - 1, r)
 
 
-class MultisetClasses:
+def _walk(letters, r, digits, ends):
+    """Yield (word, counts, size, left) per spread of r letters over the slots, in word order.
+
+    Depth first from a stack of prefixes; slot i counting c adds letters[i] * c to the word,
+    digits[c] to the counts text and C(left, c) to the size's product. A prefix at the last slot
+    or with no letters left is done: the last slot takes the `left` letters, spelled ends[left].
+    """
+    last = len(letters) - 1
+    comb = math.comb
+    stack = [(0, r, "", "", 1)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        i, left, word, counts, size = pop()
+        if i == last or not left:
+            yield word + letters[i] * left, counts + digits[0] * (last - i) + ends[left], size, left
+            continue
+        letter = letters[i]
+        for c in range(left + 1):
+            push((i + 1, left - c, word + letter * c, counts + digits[c], size * comb(left, c)))
+
+
+class MultisetClasses(Record):
     """The content classes of length-r words over an alphabet, generated on demand.
 
     `len()` is C(k+r-1, r) and generates nothing. Each iteration generates
@@ -131,9 +148,8 @@ class MultisetClasses:
     objects, `rows()` yields plain (word, counts, size) tuples.
     """
 
-    def __init__(self, alphabet: tuple[str, ...], r: int):
-        self.alphabet = alphabet
-        self.r = r
+    alphabet: tuple[str, ...]
+    r: int
 
     def __len__(self) -> int:
         return math.comb(len(self.alphabet) + self.r - 1, self.r)
@@ -142,35 +158,51 @@ class MultisetClasses:
         for word, counts, _ in self.rows():
             yield MultisetClass(word, tuple(map(int, counts.split(","))), self.alphabet)
 
+    def _blocks(self, letters, sep):
+        """The head's prefixes, from _walk, and the tail's block for the `left` a prefix leaves.
+
+        The tail is the last m < k slots, m as large as keeps its blocks (for left = 0..r: its
+        words, counts texts and sizes, their sum and the widest counts text) within BLOCK_CHARS
+        characters. The head's last slot, spelled "", takes the letters left to the tail.
+        """
+        r, k = self.r, len(letters)
+        ends = [str(c) for c in range(r + 1)]
+        digits = [end + sep for end in ends]
+        widest, m = max(map(len, letters)), 0  # a tail row: at most r*widest + m*len(digits[r])
+        while m + 1 < k and math.comb(r + m + 1, r) * (
+                r * widest + (m + 1) * len(digits[r])) <= BLOCK_CHARS:
+            m += 1
+        if not m:  # every class is a prefix, joined to one empty row
+            return _walk(letters, r, digits, ends), lambda left: (("",), ("",), (1,), 1, 0)
+        blocks = []
+        for left in range(r + 1):
+            words, counts, sizes, _ = zip(*_walk(letters[k - m:], left, digits, ends))
+            blocks.append((words, counts, sizes, sum(sizes), max(map(len, counts))))
+        return _walk(letters[:k - m] + ("",), r, digits, ("",) * (r + 1)), blocks.__getitem__
+
     def rows(self, letters=None, sep: str = ","):
         """Yield (word, counts, size) per class without building a class object.
 
-        `word` spells the class with `letters`, one string per alphabet
-        letter (default the alphabet itself); `counts` is the occupancy
-        vector as text joined by `sep`; `size` is the multinomial
-        r! / prod(counts!). The vectors are walked depth first from a stack
-        of prefixes, each carrying the word, the counts text and the
-        multinomial as a running product of binomials C(left, c). A prefix
-        at the last slot, or with no letters left, is one class: the rest of
-        its letters go to its own slot and the later slots count zero. Any
-        other prefix pushes its children in ascending count, so the highest
-        count pops first and the classes come in ascending canonical word.
+        `word` spells the class with `letters`, one string per alphabet letter
+        (default the alphabet itself); `counts` is the occupancy vector as text
+        joined by `sep`; `size` is the multinomial r! / prod(counts!). Each head
+        prefix is joined to its whole suffix block at once (see _blocks).
         """
-        letters = self.alphabet if letters is None else tuple(letters)
-        last = len(letters) - 1
-        ends = [str(c) for c in range(self.r + 1)]
-        digits = [end + sep for end in ends]
-        comb = math.comb
-        stack = [(0, self.r, "", "", 1)]
-        pop, push = stack.pop, stack.append
-        while stack:
-            i, left, word, counts, size = pop()
-            if i == last or not left:
-                yield word + letters[i] * left, counts + digits[0] * (last - i) + ends[left], size
-                continue
-            letter = letters[i]
-            for c in range(left + 1):
-                push((i + 1, left - c, word + letter * c, counts + digits[c], size * comb(left, c)))
+        prefixes, block = self._blocks(self.alphabet if letters is None else tuple(letters), sep)
+        for word, counts, size, left in prefixes:
+            words, tails, sizes, _, _ = block(left)
+            yield from zip(map(word.__add__, words), map(counts.__add__, tails),
+                           map(size.__mul__, sizes))
+
+    def survey(self) -> tuple[int, int]:
+        """(sum of the class sizes, widest counts text joined by ","), one step per head prefix."""
+        prefixes, block = self._blocks(("",) * len(self.alphabet), ",")
+        total = widest = 0
+        for _, counts, size, left in prefixes:
+            *_, block_total, block_widest = block(left)
+            total += size * block_total
+            widest = max(widest, len(counts) + block_widest)
+        return total, widest
 
 
 def enumerate_multisets(k: int, r: int, *, alphabet=None,
@@ -185,10 +217,7 @@ def enumerate_multisets(k: int, r: int, *, alphabet=None,
     least r + 1 already, and for k = 1 the one class is an r-letter word.
     """
     _check_k_r(k, r, min_k=1)
-    if alphabet is None:
-        alphabet = generic_alphabet(k)
-    else:
-        alphabet = _validated_alphabet(alphabet, k)
+    alphabet = generic_alphabet(k) if alphabet is None else _validated_alphabet(alphabet, k)
     total = multiset_count(k, r)
     if total > cap:
         raise CapacityExceededError(f"{total} classes for k={k}, r={r} exceed the cap of {cap}")
@@ -219,12 +248,7 @@ def canonicalize(word, alphabet=RNA_ALPHABET) -> MultisetClass:
 def class_size(cls: MultisetClass) -> int:
     """Number of ordered words in a class: the multinomial r! / prod(counts!).
 
-    Computed as the product of the binomials C(left, c), where `left` is
-    the word length not yet taken by earlier letters, so no factorial is
-    ever formed.
+    The product of C(s, c) over the counts c, where s sums c and every later count.
     """
-    size, left = 1, sum(cls.counts)
-    for count in cls.counts:
-        size *= math.comb(left, count)
-        left -= count
-    return size
+    counts = cls.counts[::-1]
+    return math.prod(map(math.comb, itertools.accumulate(counts), counts))

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the number check that raises one."""
+"""Exception types shared across the package, and the number checks that raise one."""
 
 
 class CodonLabError(Exception):
@@ -38,9 +38,20 @@ class TableFormatError(CodonLabError, ValueError):
         super().__init__(message)
 
 
+def as_int(value, name: str, minimum: int) -> int:
+    """`value` if it is an int, not a bool, and at least `minimum`."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidParamsError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
 def as_float(value, name: str) -> float:
-    """`value` as a float by arithmetic, not float(), so a string is refused, not parsed."""
+    """`value` as a float by arithmetic, not float(), so a string, or a bool, is refused."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return value + 0.0
     except TypeError:
         raise InvalidParamsError(f"{name} must be a number, got {value!r}") from None

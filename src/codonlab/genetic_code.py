@@ -23,6 +23,7 @@ for stop.
 """
 
 import functools
+import itertools
 
 from .errors import InvalidParamsError, TableFormatError, UnknownLetterError
 from .record import Record
@@ -36,12 +37,7 @@ STOP = "*"
 PRODUCT_SYMBOLS = AMINO_ACIDS + STOP
 
 # All 64 codons in canonical index order.
-ALL_CODONS = tuple(
-    b1 + b2 + b3
-    for b1 in INDEX_BASE_ORDER
-    for b2 in INDEX_BASE_ORDER
-    for b3 in INDEX_BASE_ORDER
-)
+ALL_CODONS = tuple(map("".join, itertools.product(INDEX_BASE_ORDER, repeat=3)))
 _CODON_INDEX = {codon: i for i, codon in enumerate(ALL_CODONS)}
 
 
@@ -112,14 +108,11 @@ def _scan_fields(text: str) -> dict[str, tuple[str, int, int]]:
             raise TableFormatError("expected a 'key = value' line", line=line_no)
         key = _CANONICAL_FIELD.get(raw_key.strip().lower())
         if key is None:
-            raise TableFormatError(
-                f"unknown field {raw_key.strip()!r}", line=line_no, column=1
-            )
+            raise TableFormatError(f"unknown field {raw_key.strip()!r}", line=line_no, column=1)
         if key in fields:
             raise TableFormatError(f"duplicate field {key!r}", line=line_no, column=1)
-        value = rhs.strip()
         column = raw.index("=") + 2 + (len(rhs) - len(rhs.lstrip()))
-        fields[key] = (value, line_no, column)
+        fields[key] = (rhs.strip(), line_no, column)
     return fields
 
 
@@ -127,9 +120,8 @@ def _checked_value(fields, key, allowed: str) -> tuple[str, int, int]:
     value, line, column = fields[key]
     value = value.upper()
     if len(value) != 64:
-        raise TableFormatError(
-            f"{key} must be 64 characters, got {len(value)}", line=line, column=column
-        )
+        raise TableFormatError(f"{key} must be 64 characters, got {len(value)}",
+                               line=line, column=column)
     if value.strip(allowed):  # empty exactly when every letter is allowed
         i, char = next((i, char) for i, char in enumerate(value) if char not in allowed)
         raise TableFormatError(f"unknown letter {char!r} in {key}", line=line, column=column + i)
@@ -162,9 +154,8 @@ def parse_table(text: str) -> GeneticCode:
         try:
             table_id = int(raw_id)
         except ValueError:
-            raise TableFormatError(
-                f"id must be an integer, got {raw_id!r}", line=id_line, column=id_column
-            ) from None
+            raise TableFormatError(f"id must be an integer, got {raw_id!r}",
+                                   line=id_line, column=id_column) from None
 
     rna_bases = (base.replace("T", "U") for base in (base1, base2, base3))
     codons = list(map("".join, zip(*rna_bases)))  # column by column

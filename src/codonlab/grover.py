@@ -12,18 +12,10 @@ diffusion steps never introduce complex phases.
 
 import math
 
-from .errors import CapacityExceededError, InvalidParamsError, as_float
+from .errors import CapacityExceededError, InvalidParamsError, as_float, as_int
 from .record import Record
 
 DEFAULT_SIM_CAP = 2**20
-
-
-def _check_int(value, name: str, minimum: int) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise InvalidParamsError(f"{name} must be >= {minimum}, got {value}")
-    return value
 
 
 def solve_n(q) -> float:
@@ -59,8 +51,8 @@ def success_probability(n: int, q: int) -> float:
     Closed form sin^2((2q+1) * asin(1/sqrt(n))); q = 0 reduces to the uniform
     1/n.
     """
-    _check_int(n, "n", 2)
-    _check_int(q, "q", 0)
+    as_int(n, "n", 2)
+    as_int(q, "q", 0)
     theta = math.asin(1.0 / math.sqrt(as_float(n, "n")))
     return math.sin(as_float(2 * q + 1, "q") * theta) ** 2
 
@@ -95,13 +87,10 @@ def simulate(n: int, q: int, marked: int = 0, *, cap: int = DEFAULT_SIM_CAP) -> 
     to ~1e-10 and the norm stays within ~1e-12 of 1 throughout. `marked`
     only names the item: the state, and so the trace, do not depend on it.
     """
-    _check_int(n, "n", 2)
-    if n > cap:
-        raise CapacityExceededError(f"n={n} exceeds the simulation cap of {cap}")
-    _check_int(q, "q", 0)
-    if q > cap:
-        raise CapacityExceededError(f"q={q} exceeds the simulation cap of {cap}")
-    _check_int(marked, "marked", 0)
+    for name, value, minimum in (("n", n, 2), ("q", q, 0)):
+        if as_int(value, name, minimum) > cap:
+            raise CapacityExceededError(f"{name}={value} exceeds the simulation cap of {cap}")
+    as_int(marked, "marked", 0)
     if marked >= n:
         raise InvalidParamsError(f"marked must be < n={n}, got {marked}")
 

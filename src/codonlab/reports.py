@@ -9,7 +9,8 @@ json.dumps: count and grover simulate stream their long list, preformatted item
 by item, after the indented head; analyze fills one template, laid out once by
 json.dumps; the rest call json.dumps. Text lines, the items of a JSON list and
 CSV rows all leave through one chunker, CHUNK_LINES lines at a time, so a report
-whose rows are generated on demand (the classes of a count) is never held whole.
+whose rows are generated on demand (the classes of a count) is never held whole;
+its identity and counts width come first, from a survey of one step per class prefix.
 A text table formats each line with one call and pads every cell but the last,
 which is never empty and never ends in whitespace.
 Each builder imports the module it reports on, and each emitter json or csv,
@@ -118,8 +119,8 @@ def build_count_report(k: int, r: int, *, alphabet=None, cap: int | None = None,
 
     Every check (the digit bound, the alphabet, the cap, by default
     combinatorics.DEFAULT_CLASS_CAP) runs here, before any class is
-    generated. The text and JSON layouts add the partition identity from a
-    counts-only pass over the class sizes.
+    generated. The text and JSON layouts add the partition identity: whether
+    the classes' survey of their sizes sums to this report's `arrangements`.
     """
     from . import combinatorics
     if cap is None:
@@ -137,19 +138,9 @@ def build_count_report(k: int, r: int, *, alphabet=None, cap: int | None = None,
     return report
 
 
-def _count_survey(report):
-    """Counts-only pass: whether the class sizes sum to k^r, and the widest counts text."""
-    classes = report["classes"]
-    total = widest = 0
-    for _, counts, size in classes.rows(letters=("",) * len(classes.alphabet)):
-        total += size
-        widest = max(widest, len(counts))
-    return total == report["arrangements"], widest
-
-
 def _count_text(report):
-    holds, widest = _count_survey(report)
-    identity = "ok (class sizes sum to k^r)" if holds else "VIOLATED"
+    total, widest = report["classes"].survey()
+    identity = "ok (class sizes sum to k^r)" if total == report["arrangements"] else "VIOLATED"
     r = report["r"]
     rows = report["classes"].rows() if r else [("(empty)", ",".join("0" * report["k"]), 1)]
     # every word has r letters; the last column, the sizes, is not padded
@@ -167,7 +158,7 @@ def _count_json(report):
     import json
     classes = report["classes"]
     head = {key: value for key, value in report.items() if key != "classes"}
-    head["partition_identity_holds"] = _count_survey(report)[0]
+    head["partition_identity_holds"] = classes.survey()[0] == report["arrangements"]
     letters = [json.dumps(letter)[1:-1] for letter in classes.alphabet]
     rows = (f'{{"word": "{word}", "counts": [{counts}], "size": {size}}}'
             for word, counts, size in classes.rows(letters, ", "))
@@ -417,9 +408,7 @@ def _simulate_text(report):
 
 
 def _simulate_csv(report) -> tuple:
-    trace = report["trace"]
-    rows = zip(range(len(trace)), map(_format_float, trace))
-    return ("iteration", "marked_probability"), rows
+    return ("iteration", "marked_probability"), enumerate(map(_format_float, report["trace"]))
 
 
 def _simulate_json(report):
@@ -494,7 +483,7 @@ def emit(report: dict, fmt: str = "text"):
     """A built report in one of the three formats, as an iterator of text chunks.
 
     Only here is a report's shape (command, mode, a count's classes) read, to pick
-    its layouts. The format is checked, and a count's counts-only pass made, before
+    its layouts. The format is checked, and a count's classes surveyed, before
     the iterator is returned, so a failure leaves nothing half emitted.
     """
     command = " ".join(filter(None, (report["command"], report.get("mode"))))

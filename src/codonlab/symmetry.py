@@ -146,10 +146,7 @@ def prefix_significance(code: GeneticCode) -> PrefixReport:
         products = tuple(code.aas[4 * i : 4 * i + 4])  # the prefix's codons are consecutive
         distinct = tuple(sorted(set(products)))
         entries.append(PrefixEntry(prefix, products, distinct, len(distinct) == 1))
-    return PrefixReport(
-        per_prefix=tuple(entries),
-        fully_degenerate_prefix_count=sum(e.fully_degenerate for e in entries),
-    )
+    return PrefixReport(tuple(entries), sum(e.fully_degenerate for e in entries))
 
 
 def random_code(seed: int) -> GeneticCode:

@@ -6,6 +6,7 @@ that the oracle reproduced before it was frozen into the test.
 """
 
 import itertools
+import json
 import math
 import unicodedata
 from collections import Counter
@@ -171,6 +172,49 @@ def test_rows_spell_every_class_in_order(alphabet, r):
     for (word, counts, size), (other, other_counts, other_size) in zip(rows, spelled, strict=True):
         assert other == "".join(f"<{a}>" for a in word)
         assert (other_counts, other_size) == (counts.replace(",", "; "), size)
+
+
+def reference_rows(k, r):
+    """(counts, size) per class, independent of the library's walk.
+
+    combinations_with_replacement gives each class once, as its sorted letter
+    indices, in ascending canonical order; the size is the multinomial from factorials.
+    """
+    factorial = [math.factorial(n) for n in range(r + 1)]
+    for combo in itertools.combinations_with_replacement(range(k), r):
+        counts = list(map(combo.count, range(k)))
+        yield counts, factorial[r] // math.prod(map(factorial.__getitem__, counts))
+
+
+# Sizes past the brute-force grid, where a class is a head prefix joined to a suffix block
+# and the split moves with the spelling: (5, 38) has a head of 3 slots and a tail of 2 in
+# the default spelling, 4 and 1 with the "<A>" letters; (7, 12), 3 and 4 by default, 4 and
+# 3 with its letters JSON-escaped; (6, 27), 4 and 2; (3, 400) has no tail, while its survey
+# has a tail of one slot; k = 1 has no tail, and r = 0 a head of one slot.
+BLOCK_CASES = [(generic_alphabet(5), 38), (generic_alphabet(6), 27), (one_column_letters(7), 12),
+               (generic_alphabet(3), 400), (generic_alphabet(1), 9), (generic_alphabet(4), 0)]
+
+
+@pytest.mark.parametrize("alphabet, r", BLOCK_CASES, ids=[f"{len(a)}-{r}" for a, r in BLOCK_CASES])
+def test_block_rows_match_an_independent_reference(alphabet, r):
+    k = len(alphabet)
+    classes = enumerate_multisets(k, r, alphabet=alphabet)
+    spellings = [  # (letters, sep) as the text, CSV and JSON layouts spell a class, and wider
+        (alphabet, ","),
+        (alphabet, ":"),
+        ([json.dumps(a)[1:-1] for a in alphabet], ", "),
+        ([f"<{a}>" for a in alphabet], "; "),
+    ]
+    streams = [classes.rows(letters, sep) for letters, sep in spellings]
+    total = widest = 0
+    for (counts, size), *rows in zip(reference_rows(k, r), *streams, strict=True):
+        digits = list(map(str, counts))
+        for (letters, sep), row in zip(spellings, rows):
+            assert row == ("".join(map(str.__mul__, letters, counts)), sep.join(digits), size)
+        total += size
+        widest = max(widest, len(rows[0][1]))
+    assert total == k**r
+    assert classes.survey() == (total, widest)
 
 
 # --- canonicalize -----------------------------------------------------------

@@ -82,14 +82,16 @@ def test_success_probability_near_one_at_the_solved_q():
 
 
 def test_closed_form_domain_errors():
-    for bad_q in (-1, 10**309, 10**160, math.inf, math.nan, "5", None):
+    for bad_q in (-1, 10**309, 10**160, math.inf, math.nan, "5", None, True):
         with pytest.raises(InvalidParamsError):
             solve_n(bad_q)
     with pytest.raises(InvalidParamsError, match="q must be a number, got '5'"):
         solve_n("5")
-    for bad_n in (0.5, math.nan, math.inf, 10**400, "5", None):
+    for bad_n in (0.5, math.nan, math.inf, 10**400, "5", None, True):
         with pytest.raises(InvalidParamsError):
             solve_q(bad_n)
+    with pytest.raises(InvalidParamsError, match="n must be a number, got False"):
+        solve_q(False)  # a bool is refused as a bool, not as a size below 1
     for bad_args in [(1, 1), (4.0, 1), (4, -1), (4, 1.5), (True, 1), (2**2000, 1), (4, 10**400)]:
         with pytest.raises(InvalidParamsError):
             success_probability(*bad_args)

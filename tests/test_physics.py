@@ -92,7 +92,7 @@ def test_scale_comparison_hbond_ratios():
 
 
 def test_scale_factor_must_be_positive():
-    for bad in (0.0, -1.0, math.nan, math.inf, 10**400, "3", None):
+    for bad in (0.0, -1.0, math.nan, math.inf, 10**400, "3", None, True):
         with pytest.raises(InvalidParamsError):
             scale_comparison(PhysicalParams(), bad)
 
@@ -102,7 +102,7 @@ def test_scale_factor_must_be_positive():
 
 @pytest.mark.parametrize("field", ["hbar", "delta_x", "mass", "hbond_energy"])
 @pytest.mark.parametrize("value", [0.0, -1e-20, math.nan, math.inf,
-                                   pytest.param(10**400, id="10**400"), "1", None])
+                                   pytest.param(10**400, id="10**400"), "1", None, True])
 def test_params_must_be_positive(field, value):
     with pytest.raises(InvalidParamsError):
         PhysicalParams(**{field: value})

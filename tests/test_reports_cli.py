@@ -103,6 +103,16 @@ def test_count_smallest_case():
     assert report["classes"] == [{"word": "A", "counts": [1], "size": 1}]
 
 
+def test_count_reports_a_violated_partition_identity():
+    # the survey's size sum is compared with the report's own k^r, so an off-by-one
+    # `arrangements` must read as violated in both layouts that print the identity
+    report = build_count_report(3, 2)
+    assert render(report).splitlines()[3] == "  partition identity:   ok (class sizes sum to k^r)"
+    report["arrangements"] += 1
+    assert render(report).splitlines()[3] == "  partition identity:   VIOLATED"
+    assert json.loads(render(report, "json"))["partition_identity_holds"] is False
+
+
 def test_count_skip_classes():
     code, out, _ = run_cli("count", "--k", "4", "--r", "3", "--skip-classes", "--format", "json")
     assert code == 0
