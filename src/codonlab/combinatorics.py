@@ -166,8 +166,9 @@ class MultisetClasses(Record):
         characters. The head's last slot, spelled "", takes the letters left to the tail.
         """
         r, k = self.r, len(letters)
-        ends = [str(c) for c in range(r + 1)]
-        digits = [end + sep for end in ends]
+        # spell only the counts a walk reaches: each up to r, but with one letter just r (and 0)
+        ends = {c: str(c) for c in (range(r + 1) if k > 1 else {0, r})}
+        digits = {c: end + sep for c, end in ends.items()}
         widest, m = max(map(len, letters)), 0  # a tail row: at most r*widest + m*len(digits[r])
         while m + 1 < k and math.comb(r + m + 1, r) * (
                 r * widest + (m + 1) * len(digits[r])) <= BLOCK_CHARS:
@@ -213,10 +214,11 @@ def enumerate_multisets(k: int, r: int, *, alphabet=None,
     alphabet's total order, with no duplicates; the sequence's length always
     equals multiset_count(k, r). `alphabet` defaults to the first k uppercase
     letters. Raises CapacityExceededError, before generating anything, when
-    the class count or r + 1 exceeds `cap`: for k >= 2 the class count is at
-    least r + 1 already, and for k = 1 the one class is an r-letter word.
+    the class count or r + 1 exceeds `cap`, an integer >= 0: for k >= 2 the class
+    count is at least r + 1 already, and for k = 1 the one class is an r-letter word.
     """
     _check_k_r(k, r, min_k=1)
+    as_int(cap, "cap", 0)
     alphabet = generic_alphabet(k) if alphabet is None else _validated_alphabet(alphabet, k)
     total = multiset_count(k, r)
     if total > cap:

@@ -87,6 +87,7 @@ def simulate(n: int, q: int, marked: int = 0, *, cap: int = DEFAULT_SIM_CAP) -> 
     to ~1e-10 and the norm stays within ~1e-12 of 1 throughout. `marked`
     only names the item: the state, and so the trace, do not depend on it.
     """
+    as_int(cap, "cap", 0)
     for name, value, minimum in (("n", n, 2), ("q", q, 0)):
         if as_int(value, name, minimum) > cap:
             raise CapacityExceededError(f"{name}={value} exceeds the simulation cap of {cap}")

@@ -3,17 +3,18 @@
 Builders assemble plain dicts with stable key order. Each command, as the CLI
 names it (`count --skip-classes` and each grover mode are commands of their own),
 has one row of layouts, and only `emit` reads a report's shape to pick it: a text
-layout (a line template filled from the report's own keys, or a function that
-adds tables), one CSV table, and a JSON emitter with the bytes of indented
+and a CSV layout, each a line template filled from the report's own keys or a
+function that returns the lines, and a JSON emitter with the bytes of indented
 json.dumps: count and grover simulate stream their long list, preformatted item
 by item, after the indented head; analyze fills one template, laid out once by
-json.dumps; the rest call json.dumps. Text lines, the items of a JSON list and
-CSV rows all leave through one chunker, CHUNK_LINES lines at a time, so a report
+json.dumps; the rest call json.dumps. Text and CSV lines and the items of a JSON
+list all leave through one chunker, CHUNK_LINES lines at a time, so a report
 whose rows are generated on demand (the classes of a count) is never held whole;
 its identity and counts width come first, from a survey of one step per class prefix.
 A text table formats each line with one call and pads every cell but the last,
-which is never empty and never ends in whitespace.
-Each builder imports the module it reports on, and each emitter json or csv,
+which is never empty and never ends in whitespace. A CSV line is formatted as
+csv.writer would write it: only a count's word can hold a comma or a quote.
+Each builder imports the module it reports on, and each JSON emitter the json module,
 only when called. Floats are rounded to 12 significant digits at build time, so
 every format encodes identical values and repeated runs are byte-identical.
 """
@@ -75,16 +76,6 @@ def _table(headers, rows, widths=None):
         widths = [max(map(len, column)) for column in zip(headers[:-1], *rows)]
     template = "".join(f"{{:<{width}}}  " for width in widths) + "{}"
     return itertools.chain([template.format(*headers)], itertools.starmap(template.format, rows))
-
-
-class _Lines:  # a csv.writer target whose write returns the line, so writerow returns it too
-    write = str
-
-
-def _csv(headers, rows):
-    import csv
-    writer = csv.writer(_Lines(), lineterminator="\n")
-    return _chunked(map(writer.writerow, itertools.chain([headers], rows)), "")
 
 
 def _json(report):
@@ -165,12 +156,16 @@ def _count_json(report):
     return _json_with_list(head, "classes", rows)
 
 
-def _count_csv(report) -> tuple:
-    return ("word", "counts", "size"), report["classes"].rows(sep=":")
+def _count_csv(report):
+    classes = report["classes"]  # as csv.writer: a word holding `"` (spelled `""`) or "," is quoted
+    letters = [letter.replace('"', '""') for letter in classes.alphabet]
+    return itertools.chain(["word,counts,size"], (
+        f'"{word}",{counts},{size}' if '"' in word or "," in word else f"{word},{counts},{size}"
+        for word, counts, size in classes.rows(letters, ":")))
 
 
-def _count_skipped_csv(report) -> tuple:
-    return ("quantity", "value"), _fields(report).items()
+_COUNT_SKIPPED_CSV = ("quantity,value\nk,{k}\nr,{r}\narrangements,{arrangements}\n"
+                      "multiset_count,{multiset_count}")
 
 
 # --- analyze ---------------------------------------------------------------
@@ -329,9 +324,9 @@ def _analyze_json(report) -> list:
     return [_analyze_json_layout.format(*values)]
 
 
-def _analyze_csv(report) -> tuple:
-    headers = ("word", "size", "codons", "products", "coherent", "coherent_excluding_stop")
-    return headers, _class_rows(report, ";")
+def _analyze_csv(report) -> list:
+    return ["word,size,codons,products,coherent,coherent_excluding_stop",
+            *map(",".join, _class_rows(report, ";"))]
 
 
 # --- grover ---------------------------------------------------------------
@@ -392,11 +387,6 @@ def build_grover_simulate_report(n: int, q: int, marked: int, *, cap: int | None
     }
 
 
-def _solve_csv(report) -> tuple:
-    fields = _fields(report)
-    return tuple(fields), [fields.values()]  # one row of the report's fields
-
-
 def _simulate_text(report):
     trace = report["trace"]
     # the trace table as preformatted rows; as in a _table, the last column is not padded
@@ -407,8 +397,10 @@ def _simulate_text(report):
     return itertools.chain([head, header], map(row, range(len(trace)), trace))
 
 
-def _simulate_csv(report) -> tuple:
-    return ("iteration", "marked_probability"), enumerate(map(_format_float, report["trace"]))
+def _simulate_csv(report):
+    row = f"{{}},{{:.{SIGNIFICANT_DIGITS}g}}".format
+    trace = report["trace"]
+    return itertools.chain(["iteration,marked_probability"], map(row, range(len(trace)), trace))
 
 
 def _simulate_json(report):
@@ -457,25 +449,28 @@ def build_energy_report(params, scale_factor: float) -> dict:
     }
 
 
-def _energy_csv(report) -> tuple:
-    names = ("hbar_erg_s", "delta_x_cm", "mass_g", "hbond_energy_erg",
-             "momentum_uncertainty_g_cm_s", "fluctuation_energy_erg", "fluctuation_energy_ev",
-             "hbond_ratio", "scale_factor", "energy_scaled_erg", "energy_ratio", "scaled_to_hbond")
-    values = _fields(report).values()  # in the order of `names`
-    return ("quantity", "value"), zip(names, values, strict=True)
+_ENERGY_CSV = (
+    "quantity,value\nhbar_erg_s,{hbar}\ndelta_x_cm,{delta_x}\nmass_g,{mass}\n"
+    "hbond_energy_erg,{hbond_energy}\nmomentum_uncertainty_g_cm_s,{momentum_uncertainty}\n"
+    "fluctuation_energy_erg,{fluctuation_energy_erg}\n"
+    "fluctuation_energy_ev,{fluctuation_energy_ev}\nhbond_ratio,{hbond_ratio}\n"
+    "scale_factor,{factor}\nenergy_scaled_erg,{energy_scaled_erg}\nenergy_ratio,{energy_ratio}\n"
+    "scaled_to_hbond,{scaled_to_hbond}"
+)
 
 
 # --- dispatch ---------------------------------------------------------------
 
-# command as the CLI names it -> (text layout or line template, CSV table layout, JSON emitter)
+# command as the CLI names it -> (text layout, CSV layout, JSON emitter); a layout is a
+# function that returns the lines, or one line template filled from the report's fields
 _LAYOUTS = {
     "count": (_count_text, _count_csv, _count_json),
-    "count --skip-classes": (_COUNT_SKIPPED_TEXT, _count_skipped_csv, _json),
+    "count --skip-classes": (_COUNT_SKIPPED_TEXT, _COUNT_SKIPPED_CSV, _json),
     "analyze": (_analyze_text, _analyze_csv, _analyze_json),
-    "grover solve-n": (_SOLVE_N_TEXT, _solve_csv, _json),
-    "grover solve-q": (_SOLVE_Q_TEXT, _solve_csv, _json),
+    "grover solve-n": (_SOLVE_N_TEXT, "q,n_solved\n{q},{n_solved}", _json),
+    "grover solve-q": (_SOLVE_Q_TEXT, "n,q_solved,q_rounded\n{n},{q_solved},{q_rounded}", _json),
     "grover simulate": (_simulate_text, _simulate_csv, _simulate_json),
-    "energy": (_ENERGY_TEXT, _energy_csv, _json),
+    "energy": (_ENERGY_TEXT, _ENERGY_CSV, _json),
 }
 
 
@@ -490,15 +485,13 @@ def emit(report: dict, fmt: str = "text"):
     if command == "count" and "classes" not in report:
         command += " --skip-classes"
     text_layout, csv_layout, json_emitter = _LAYOUTS[command]
-    if fmt == "text":
-        lines = (text_layout(report) if callable(text_layout)
-                 else [text_layout.format_map(_fields(report))])
-        return itertools.chain(_chunked(lines), ["\n"])
-    if fmt == "csv":
-        return _csv(*csv_layout(report))
     if fmt == "json":
         return json_emitter(report)
-    raise InvalidParamsError(f"format must be text, json or csv, got {fmt!r}")
+    if fmt not in ("text", "csv"):
+        raise InvalidParamsError(f"format must be text, json or csv, got {fmt!r}")
+    layout = text_layout if fmt == "text" else csv_layout
+    lines = layout(report) if callable(layout) else [layout.format_map(_fields(report))]
+    return itertools.chain(_chunked(lines), ["\n"])
 
 
 def render(report: dict, fmt: str = "text") -> str:

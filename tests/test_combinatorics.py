@@ -144,6 +144,10 @@ def test_enumeration_cap():
         enumerate_multisets(1, 10, cap=10)
     with pytest.raises(CapacityExceededError):
         enumerate_multisets(1, 10**18)
+    # a cap is an integer >= 0: neither a string, None nor a bool (True is not taken as 1)
+    for cap in ("x", None, True, -1, 2.5):
+        with pytest.raises(InvalidParamsError, match="cap"):
+            enumerate_multisets(1, 0, cap=cap)
 
 
 def one_column_letters(k):

@@ -176,6 +176,10 @@ def test_simulator_capacity():
     with pytest.raises(CapacityExceededError):
         simulate(4, 1001, cap=1000)
     assert simulate(4, 1000, cap=1000).iterations_applied == 1000
+    # a cap is an integer >= 0: neither a string, None nor a bool (True is not taken as 1)
+    for cap in ("x", None, True, -1, 2.5):
+        with pytest.raises(InvalidParamsError, match="cap"):
+            simulate(4, 1, cap=cap)
 
 
 @st.composite

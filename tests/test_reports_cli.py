@@ -39,6 +39,8 @@ from codonlab.reports import (
     build_count_report,
     build_energy_report,
     build_grover_simulate_report,
+    build_grover_solve_n_report,
+    build_grover_solve_q_report,
     render,
     round_sig,
 )
@@ -283,26 +285,99 @@ def buffered_csv(headers, rows):
     return buffer.getvalue()
 
 
-_CSV_CELLS = st.one_of(st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "Z", "\u00e9",
-                                                 "\u03a9", "\u754c"]), max_size=6),
-                       st.integers())
+CSV_CHUNK = 4  # CHUNK_LINES while a CSV report renders below
 
 
-CSV_CHUNK = 4  # CHUNK_LINES while the test below renders
-
-
-@given(data=st.data(), columns=st.integers(1, 4),
-       row_count=st.sampled_from([0, 1, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1]))
-@settings(max_examples=200, deadline=None)
-def test_csv_chunks_match_one_buffered_writer(data, columns, row_count):
-    row = st.tuples(*[_CSV_CELLS] * columns)
-    headers = data.draw(row)
-    rows = data.draw(st.lists(row, min_size=row_count, max_size=row_count))
+def csv_chunks(report):
+    """A report's CSV chunks, CSV_CHUNK lines to a chunk."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(reports, "CHUNK_LINES", CSV_CHUNK)
-        chunks = list(reports._csv(headers, iter(rows)))
-    assert "".join(chunks) == buffered_csv(headers, rows)
-    assert len(chunks) == -(-(row_count + 1) // CSV_CHUNK)  # the header line counts too
+        return list(reports.emit(report, "csv"))
+
+
+# letters that csv.writer quotes or doubles, that other CSV dialects treat specially, or non-ASCII
+_CSV_LETTERS = (",", '"', "'", "\\", ";", ":", "a", "Z", "\u00e9", "\u03a9", "\u00df")
+
+
+@given(letters=st.permutations(_CSV_LETTERS), k=st.integers(1, 7), r=st.integers(0, 5),
+       block_chars=st.sampled_from([1, 40, 300, 1 << 16]))
+@example(letters='",', k=2, r=0, block_chars=1 << 16)
+@example(letters='"', k=1, r=5, block_chars=1 << 16)
+@settings(max_examples=200, deadline=None)
+def test_count_csv_matches_csv_writer(letters, k, r, block_chars):
+    alphabet = letters[:k]
+    # a smaller BLOCK_CHARS moves the split of the alphabet into head and tail slots
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codonlab.combinatorics, "BLOCK_CHARS", block_chars)
+        report = build_count_report(len(alphabet), r, alphabet=alphabet)
+        rows = [(c.canonical_word, ":".join(map(str, c.counts)), class_size(c))
+                for c in report["classes"]]
+        chunks = csv_chunks(report)
+    assert "".join(chunks) == buffered_csv(("word", "counts", "size"), rows)
+    # the header counts as a line, and the closing newline is a chunk of its own
+    assert len(chunks) == -(-(len(rows) + 1) // CSV_CHUNK) + 1
+
+
+def _yes_no(flag):
+    return "yes" if flag else "no"
+
+
+@st.composite
+def _analyze_csv_cases(draw):
+    aas = draw(st.text(PRODUCT_SYMBOLS, min_size=64, max_size=64))
+    report = build_analyze_report(GeneticCode(name=draw(st.text()), id=None, aas=aas), "random")
+    rows = [(c["word"], c["size"], ";".join(c["codons"]), ";".join(c["products"]),
+             _yes_no(c["coherent"]), _yes_no(c["coherent_excluding_stop"]))
+            for c in report["symmetry"]["classes"]]
+    return report, ("word", "size", "codons", "products", "coherent",
+                    "coherent_excluding_stop"), rows
+
+
+@st.composite
+def _simulate_csv_cases(draw):
+    report = build_grover_simulate_report(*draw(_simulations()))
+    return report, ("iteration", "marked_probability"), [
+        (i, f"{p:.12g}") for i, p in enumerate(report["trace"])]
+
+
+@st.composite
+def _solve_csv_cases(draw):
+    report = build_grover_solve_n_report(draw(st.integers(0, 10**6)))
+    if draw(st.booleans()):
+        return report, ("q", "n_solved"), [(report["q"], f"{report['n_solved']:.12g}")]
+    report = build_grover_solve_q_report(draw(st.floats(1, 1e15)))
+    return report, ("n", "q_solved", "q_rounded"), [
+        (f"{report['n']:.12g}", f"{report['q_solved']:.12g}", report["q_rounded"])]
+
+
+@st.composite
+def _energy_csv_cases(draw):
+    value = st.floats(1e-30, 1e-10)
+    params = PhysicalParams(*(draw(value) for _ in range(4)))
+    report = build_energy_report(params, draw(st.floats(0.1, 10)))
+    names = ("hbar_erg_s", "delta_x_cm", "mass_g", "hbond_energy_erg",
+             "momentum_uncertainty_g_cm_s", "fluctuation_energy_erg", "fluctuation_energy_ev",
+             "hbond_ratio", "scale_factor", "energy_scaled_erg", "energy_ratio", "scaled_to_hbond")
+    values = [*report["params"].values(), report["momentum_uncertainty"],
+              report["fluctuation_energy_erg"], report["fluctuation_energy_ev"],
+              report["hbond_ratio"], *report["scale"].values()]
+    return report, ("quantity", "value"), list(zip(names, (f"{v:.12g}" for v in values)))
+
+
+@st.composite
+def _skipped_count_csv_cases(draw):
+    report = build_count_report(draw(st.integers(1, 30)), draw(st.integers(0, 200)),
+                                include_classes=False)
+    return report, ("quantity", "value"), [(key, report[key]) for key in
+                                           ("k", "r", "arrangements", "multiset_count")]
+
+
+@given(st.one_of(_analyze_csv_cases(), _simulate_csv_cases(), _solve_csv_cases(),
+                 _energy_csv_cases(), _skipped_count_csv_cases()))
+@settings(max_examples=200, deadline=None)
+def test_csv_reports_match_csv_writer(case):
+    report, headers, rows = case
+    assert "".join(csv_chunks(report)) == buffered_csv(headers, rows)
 
 
 _PEAK_RSS_LAUNCHER = """
@@ -339,6 +414,9 @@ def test_count_memory_is_flat_in_class_count():
         wide = child_peak_rss_kb("count", "--k", "2000", "--r", "1", "--alphabet", alphabet,
                                  "--format", fmt)
         assert wide - small[fmt] < 12 * 1024, fmt
+        # and in r where the output is small: one class, a word of 999,999 letters
+        long = child_peak_rss_kb("count", "--k", "1", "--r", "999999", "--format", fmt)
+        assert long - small[fmt] < 12 * 1024, fmt
 
 
 def test_count_missing_and_invalid_params():
@@ -346,6 +424,9 @@ def test_count_missing_and_invalid_params():
     assert run_cli("count", "--k", "-1", "--r", "3")[0] == 2
     code, out, _ = run_cli("count", "--k", "3", "--r", "2", "--alphabet", "ACGU")
     assert code == 2 and out == ""
+    # a negative cap is invalid input, not a cap that every count exceeds
+    code, out, err = run_cli("count", "--k", "3", "--r", "3", "--cap", "-1")
+    assert (code, out, err) == (2, "", "error: cap must be >= 0, got -1\n")
 
 
 @pytest.mark.parametrize("letter", ["\n", "\t", " ", "\u754c", "\u0301"],
@@ -511,6 +592,8 @@ def test_grover_error_paths():
         code, out, err = run_cli("grover", "simulate", "--n", "4", "--q", q, *cap)
         assert code == 3 and out == ""
         assert f"q={q} exceeds the simulation cap" in err
+    code, out, err = run_cli("grover", "simulate", "--n", "4", "--q", "3", "--cap", "-1")
+    assert (code, out, err) == (2, "", "error: cap must be >= 0, got -1\n")
 
 
 def reference_simulate_text(report):
@@ -1001,6 +1084,9 @@ def test_import_loads_no_numpy():
     (["grover", "solve-n", "--q", "3"], {"dataclasses", "inspect", "csv", "codonlab.symmetry",
                                          "codonlab.physics", "codonlab.combinatorics",
                                          "codonlab.genetic_code"}),
+    # a CSV report is written without the csv module
+    (["count", "--k", "4", "--r", "3", "--format", "csv"], {"csv", "_csv", "json"}),
+    (["grover", "simulate", "--n", "4", "--q", "3", "--format", "csv"], {"csv", "_csv", "json"}),
 ])
 def test_a_subcommand_loads_only_what_it_uses(argv, unloaded):
     loaded = loaded_modules(*argv)
