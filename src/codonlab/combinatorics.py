@@ -49,7 +49,7 @@ class MultisetClass(Record):
 
 def generic_alphabet(k: int) -> tuple[str, ...]:
     """First k uppercase letters, the default alphabet for abstract counting."""
-    if not isinstance(k, int) or not 1 <= k <= 26:
+    if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= 26:
         raise InvalidParamsError(f"generic alphabet needs an integer 1 <= k <= 26, got {k!r}")
     return tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ"[:k])
 
@@ -59,7 +59,8 @@ def _check_k_r(k, r, *, min_k: int) -> None:
     as_int(r, "r", 0)
 
 
-def _validated_alphabet(alphabet, k: int) -> tuple[str, ...]:
+def validated_alphabet(alphabet, k: int) -> tuple[str, ...]:
+    """`alphabet` as a tuple of k distinct letters, each one printable column wide."""
     alphabet = tuple(alphabet)
     if len(alphabet) != k:
         raise InvalidParamsError(f"alphabet has {len(alphabet)} letters, expected k={k}")
@@ -219,7 +220,7 @@ def enumerate_multisets(k: int, r: int, *, alphabet=None,
     """
     _check_k_r(k, r, min_k=1)
     as_int(cap, "cap", 0)
-    alphabet = generic_alphabet(k) if alphabet is None else _validated_alphabet(alphabet, k)
+    alphabet = generic_alphabet(k) if alphabet is None else validated_alphabet(alphabet, k)
     total = multiset_count(k, r)
     if total > cap:
         raise CapacityExceededError(f"{total} classes for k={k}, r={r} exceed the cap of {cap}")

@@ -4,25 +4,25 @@ Builders assemble plain dicts with stable key order. Each command, as the CLI
 names it (`count --skip-classes` and each grover mode are commands of their own),
 has one row of layouts, and only `emit` reads a report's shape to pick it: a text
 and a CSV layout, each a line template filled from the report's own keys or a
-function that returns the lines, and a JSON emitter with the bytes of indented
-json.dumps: count and grover simulate stream their long list, preformatted item
-by item, after the indented head; analyze fills one template, laid out once by
-json.dumps; the rest call json.dumps. Text and CSV lines and the items of a JSON
+function that returns the lines, and a JSON emitter. Every JSON report has the
+bytes of indented json.dumps and comes from one template per command, laid out by
+json.dumps from the command's first report, after which count and grover simulate
+stream their long list item by item. Text and CSV lines and the items of a JSON
 list all leave through one chunker, CHUNK_LINES lines at a time, so a report
 whose rows are generated on demand (the classes of a count) is never held whole;
 its identity and counts width come first, from a survey of one step per class prefix.
 A text table formats each line with one call and pads every cell but the last,
 which is never empty and never ends in whitespace. A CSV line is formatted as
 csv.writer would write it: only a count's word can hold a comma or a quote.
-Each builder imports the module it reports on, and each JSON emitter the json module,
-only when called. Floats are rounded to 12 significant digits at build time, so
+Each builder imports the module it reports on, and JSON the json module, only
+when called. Floats are rounded to 12 significant digits at build time, so
 every format encodes identical values and repeated runs are byte-identical.
 """
 
 import itertools
 from collections import Counter
 
-from .errors import InvalidParamsError
+from .errors import InvalidParamsError, as_int
 
 SIGNIFICANT_DIGITS = 12
 CHUNK_LINES = 256  # lines per emitted chunk
@@ -78,19 +78,56 @@ def _table(headers, rows, widths=None):
     return itertools.chain([template.format(*headers)], itertools.starmap(template.format, rows))
 
 
-def _json(report):
-    import json
-    yield json.dumps(report, indent=2) + "\n"
+def _json_skeleton(node):
+    """`node` with each value, a scalar or a list of strings, replaced by "\\0"."""
+    if isinstance(node, dict):
+        return {key: _json_skeleton(value) for key, value in node.items()}
+    if isinstance(node, list) and isinstance(node[0], dict):
+        return list(map(_json_skeleton, node))
+    return "\0"
 
 
-def _json_with_list(head, key, items):
-    """`head` as indented JSON, closed by the field `key`: a list of preformatted items."""
-    import json
-    return itertools.chain(
-        [json.dumps(head, indent=2)[:-2] + f',\n  "{key}": [\n    '],
-        _chunked(items, ",\n    "),
-        ["\n  ]\n}\n"],
-    )
+# (command, mode, key) -> a layout, laid out from the first report of its command emitted
+# rather than from one of its own, which for analyze would parse a table no caller asked for
+_json_layouts = {}
+
+
+def _json(report, key=None, items=()):
+    """The report as json.dumps(report, indent=2) + "\\n" spells it, from its command's layout.
+
+    With `key`, the report is a head, closed by the field `key`: a list of `items`, each
+    preformatted as json.dumps spells it. Every builder keeps one shape rule: keys, their order
+    and the length of every list of objects do not depend on the inputs, so the first report's
+    layout, with a `{}` slot for each value, serves every report of its command. Values are
+    spelled as json.dumps spells them (a report's floats are finite); a list of strings holds
+    codons or product symbols, which need no escaping.
+    """
+    shape = (report["command"], report.get("mode"), key)
+    if shape not in _json_layouts:
+        import json
+        text = json.dumps(_json_skeleton(report), indent=2)
+        text = text[:-2] + f',\n  "{key}": [\n    ' if key else text + "\n"
+        _json_layouts[shape] = text.replace("{", "{{").replace("}", "}}").replace(r'"\u0000"', "{}")
+    from json.encoder import encode_basestring_ascii  # how json.dumps escapes a string
+    values = []
+
+    def add(node):  # in json.dumps order; the builder makes every dict and list exactly that
+        for value in node.values() if type(node) is dict else node:
+            kind = type(value)
+            if kind is dict or kind is list and type(value[0]) is dict:
+                add(value)
+            elif kind is list:  # of strings, in an analyze class or prefix entry
+                values.append('[\n          "' + '",\n          "'.join(value) + '"\n        ]')
+            elif isinstance(value, str):
+                values.append(encode_basestring_ascii(value))
+            elif value is None or isinstance(value, bool):
+                values.append("null" if value is None else "true" if value else "false")
+            else:  # an int or a finite float
+                values.append(repr(value))
+
+    add(report)
+    head = [_json_layouts[shape].format(*values)]
+    return itertools.chain(head, _chunked(items, ",\n    "), ["\n  ]\n}\n"]) if key else head
 
 
 # --- count ---------------------------------------------------------------
@@ -110,13 +147,17 @@ def build_count_report(k: int, r: int, *, alphabet=None, cap: int | None = None,
 
     Every check (the digit bound, the alphabet, the cap, by default
     combinatorics.DEFAULT_CLASS_CAP) runs here, before any class is
-    generated. The text and JSON layouts add the partition identity: whether
-    the classes' survey of their sizes sums to this report's `arrangements`.
+    generated; skipped classes skip only the cap's bound on the class count.
+    The text and JSON layouts add the partition identity: whether the
+    classes' survey of their sizes sums to this report's `arrangements`.
     """
     from . import combinatorics
     if cap is None:
         cap = combinatorics.DEFAULT_CLASS_CAP
     combinatorics.check_printable(k, r)
+    as_int(cap, "cap", 0)
+    if alphabet is not None:
+        combinatorics.validated_alphabet(alphabet, k)
     report = {
         "command": "count",
         "k": k,
@@ -141,19 +182,15 @@ def _count_text(report):
 
 
 def _count_json(report):
-    """The count report as JSON, each class on one line.
-
-    Letters are JSON-escaped one by one, which escapes every word spelled
-    from them.
-    """
-    import json
+    """The count report as JSON, a class to a line; escaping each letter escapes every word."""
+    from json.encoder import encode_basestring_ascii
     classes = report["classes"]
     head = {key: value for key, value in report.items() if key != "classes"}
     head["partition_identity_holds"] = classes.survey()[0] == report["arrangements"]
-    letters = [json.dumps(letter)[1:-1] for letter in classes.alphabet]
+    letters = [encode_basestring_ascii(letter)[1:-1] for letter in classes.alphabet]
     rows = (f'{{"word": "{word}", "counts": [{counts}], "size": {size}}}'
             for word, counts, size in classes.rows(letters, ", "))
-    return _json_with_list(head, "classes", rows)
+    return _json(head, "classes", rows)
 
 
 def _count_csv(report):
@@ -276,54 +313,6 @@ def _analyze_text(report) -> list:
                                  prefixes="\n".join(prefixes), **_fields(report))]
 
 
-def _json_skeleton(node):
-    """`node` with each value, a scalar or a list of strings, replaced by "\\0"."""
-    if isinstance(node, dict):
-        return {key: _json_skeleton(value) for key, value in node.items()}
-    if isinstance(node, list) and isinstance(node[0], dict):
-        return list(map(_json_skeleton, node))
-    return "\0"
-
-
-# the template, laid out from the first analyze report emitted rather than from one of its
-# own, which would parse and analyze a table that no caller asked for
-_analyze_json_layout = None
-
-
-def _analyze_json(report) -> list:
-    """The analyze report as json.dumps(report, indent=2) + "\\n" spells it, from one template.
-
-    Keys, their order and the length of every list of objects do not depend on the code, so
-    the first report's layout, with a `{}` slot for each value, serves every report. Values are
-    spelled as json.dumps spells them (a report's floats are finite); a list of strings holds
-    codons or product symbols, which need no escaping.
-    """
-    global _analyze_json_layout
-    if _analyze_json_layout is None:
-        import json
-        text = json.dumps(_json_skeleton(report), indent=2).replace("{", "{{").replace("}", "}}")
-        _analyze_json_layout = text.replace(r'"\u0000"', "{}") + "\n"
-    from json.encoder import encode_basestring_ascii  # how json.dumps escapes a string
-    values = []
-
-    def add(node):  # in json.dumps order; the builder makes every dict and list exactly that
-        for value in node.values() if type(node) is dict else node:
-            kind = type(value)
-            if kind is dict or kind is list and type(value[0]) is dict:
-                add(value)
-            elif kind is list:  # of strings, in a class or a prefix entry
-                values.append('[\n          "' + '",\n          "'.join(value) + '"\n        ]')
-            elif isinstance(value, str):
-                values.append(encode_basestring_ascii(value))
-            elif value is None or isinstance(value, bool):
-                values.append("null" if value is None else "true" if value else "false")
-            else:  # an int or a finite float
-                values.append(repr(value))
-
-    add(report)
-    return [_analyze_json_layout.format(*values)]
-
-
 def _analyze_csv(report) -> list:
     return ["word,size,codons,products,coherent,coherent_excluding_stop",
             *map(",".join, _class_rows(report, ";"))]
@@ -406,7 +395,7 @@ def _simulate_csv(report):
 def _simulate_json(report):
     """A simulate report as JSON, its trace spelled as json.dumps spells finite floats."""
     head = {key: value for key, value in report.items() if key != "trace"}
-    return _json_with_list(head, "trace", map(float.__repr__, report["trace"]))
+    return _json(head, "trace", map(float.__repr__, report["trace"]))
 
 
 # --- energy ---------------------------------------------------------------
@@ -466,7 +455,7 @@ _ENERGY_CSV = (
 _LAYOUTS = {
     "count": (_count_text, _count_csv, _count_json),
     "count --skip-classes": (_COUNT_SKIPPED_TEXT, _COUNT_SKIPPED_CSV, _json),
-    "analyze": (_analyze_text, _analyze_csv, _analyze_json),
+    "analyze": (_analyze_text, _analyze_csv, _json),
     "grover solve-n": (_SOLVE_N_TEXT, "q,n_solved\n{q},{n_solved}", _json),
     "grover solve-q": (_SOLVE_Q_TEXT, "n,q_solved,q_rounded\n{n},{q_solved},{q_rounded}", _json),
     "grover simulate": (_simulate_text, _simulate_csv, _simulate_json),

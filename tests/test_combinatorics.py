@@ -291,8 +291,9 @@ def test_rejects_out_of_domain_arguments():
         multiset_count(0, 3)
     with pytest.raises(InvalidParamsError):
         enumerate_multisets(27, 1)  # default alphabet runs out of letters
-    with pytest.raises(InvalidParamsError):
-        generic_alphabet(0)
+    for bad in (0, True):  # True is not taken as 1
+        with pytest.raises(InvalidParamsError):
+            generic_alphabet(bad)
 
 
 def test_rejects_malformed_alphabets():

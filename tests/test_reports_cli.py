@@ -422,11 +422,17 @@ def test_count_memory_is_flat_in_class_count():
 def test_count_missing_and_invalid_params():
     assert run_cli("count", "--k", "4")[0] == 2
     assert run_cli("count", "--k", "-1", "--r", "3")[0] == 2
-    code, out, _ = run_cli("count", "--k", "3", "--r", "2", "--alphabet", "ACGU")
-    assert code == 2 and out == ""
-    # a negative cap is invalid input, not a cap that every count exceeds
-    code, out, err = run_cli("count", "--k", "3", "--r", "3", "--cap", "-1")
-    assert (code, out, err) == (2, "", "error: cap must be >= 0, got -1\n")
+    # the alphabet and the cap are checked whether or not the classes are skipped
+    for skip in ([], ["--skip-classes"]):
+        code, out, err = run_cli("count", "--k", "3", "--r", "2", "--alphabet", "ACGU", *skip)
+        assert (code, out, err) == (2, "", "error: alphabet has 4 letters, expected k=3\n")
+        # a negative cap is invalid input, not a cap that every count exceeds
+        code, out, err = run_cli("count", "--k", "3", "--r", "3", "--cap", "-1", *skip)
+        assert (code, out, err) == (2, "", "error: cap must be >= 0, got -1\n")
+    code, out, err = run_cli("count", "--k", "3", "--r", "3", "--alphabet", "ab", "--skip-classes")
+    assert (code, out, err) == (2, "", "error: alphabet has 2 letters, expected k=3\n")
+    with pytest.raises(InvalidParamsError, match="cap must be an integer"):
+        build_count_report(3, 3, cap="x", include_classes=False)
 
 
 @pytest.mark.parametrize("letter", ["\n", "\t", " ", "\u754c", "\u0301"],
@@ -639,23 +645,60 @@ def test_simulate_emitters_match_reference_renderings(args):
     assert render(report, "csv") == reference_simulate_csv(report)
 
 
-@given(
-    aas=st.one_of(st.text(PRODUCT_SYMBOLS, min_size=64, max_size=64),
-                  st.sampled_from(PRODUCT_SYMBOLS).map(lambda symbol: symbol * 64)),
-    symmetrize=st.booleans(),
-    name=st.text(),
-    table_id=st.none() | st.integers(),
-    source=st.text(),
-)
-@example(aas=builtin_standard_code().aas, symmetrize=False, name="Standard", table_id=1,
-         source="builtin:standard")
-@example(aas="*" * 64, symmetrize=False, name="stops", table_id=None, source="random")
-@settings(max_examples=150, deadline=None)
-def test_analyze_json_template_matches_json_dumps(aas, symmetrize, name, table_id, source):
+def _dumped(report):
+    """A report and its JSON as json.dumps spells it."""
+    return report, json.dumps(report, indent=2) + "\n"
+
+
+def _analyze_json_case(aas, symmetrize, name, table_id, source):
     if symmetrize:
         aas = symmetry.symmetrized_code(GeneticCode(name="", id=None, aas=aas)).aas
-    report = build_analyze_report(GeneticCode(name=name, id=table_id, aas=aas), source)
-    assert render(report, "json") == json.dumps(report, indent=2) + "\n"
+    return _dumped(build_analyze_report(GeneticCode(name=name, id=table_id, aas=aas), source))
+
+
+def _count_json_case(letters, k, r):
+    """A count report and its JSON: json.dumps of the report, one class to a line."""
+    report = build_count_report(k, r, alphabet=letters[:k])
+    classes = [{"word": c.canonical_word, "counts": list(c.counts), "size": class_size(c)}
+               for c in report["classes"]]
+    head = {key: value for key, value in report.items() if key != "classes"}
+    head["partition_identity_holds"] = sum(c["size"] for c in classes) == report["arrangements"]
+    text = json.dumps(dict(head, classes=[0]), indent=2) + "\n"
+    lines = ",\n    ".join(map(json.dumps, classes))
+    return report, text.replace("\n    0\n", f"\n    {lines}\n")
+
+
+_positive = st.floats(1e-30, 1e-10)
+_JSON_CASES = st.one_of(
+    st.builds(_analyze_json_case,
+              aas=st.one_of(st.text(PRODUCT_SYMBOLS, min_size=64, max_size=64),
+                            st.sampled_from(PRODUCT_SYMBOLS).map(lambda symbol: symbol * 64)),
+              symmetrize=st.booleans(), name=st.text(), table_id=st.none() | st.integers(),
+              source=st.text()),
+    st.builds(_count_json_case, st.permutations(_CSV_LETTERS), st.integers(1, 7),
+              st.integers(0, 4)),
+    st.builds(build_count_report, st.integers(1, 30), st.integers(0, 200),
+              include_classes=st.just(False)).map(_dumped),
+    st.builds(build_energy_report, st.builds(PhysicalParams, _positive, _positive, _positive,
+                                             _positive), st.floats(0.1, 10)).map(_dumped),
+    st.builds(build_grover_solve_n_report, st.integers(0, 10**6)).map(_dumped),
+    st.builds(build_grover_solve_q_report, st.floats(1, 1e15)).map(_dumped),
+    _simulations().map(lambda args: build_grover_simulate_report(*args)).map(_dumped),
+)
+
+
+@given(case=_JSON_CASES)
+@example(case=_analyze_json_case(builtin_standard_code().aas, False, "Standard", 1,
+                                 "builtin:standard"))
+@example(case=_analyze_json_case("*" * 64, False, "stops", None, "random"))
+@settings(max_examples=400, deadline=None)
+def test_every_json_report_matches_json_dumps(case):
+    """Each command's JSON, from its one cached layout, is json.dumps(report, indent=2) + "\\n".
+
+    A count lists its classes one to a line, each as json.dumps spells it.
+    """
+    report, expected = case
+    assert render(report, "json") == expected
 
 
 # --- energy ----------------------------------------------------------------
