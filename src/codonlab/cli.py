@@ -88,10 +88,8 @@ class _Parser(argparse.ArgumentParser):
                 settings = dict(*extra)
                 if kind is bool:
                     settings.update(action="store_const", const=True)
-                else:
-                    settings.update(type=kind)
-                    if default not in (None, REQUIRED):
-                        text = f"{text} (default {default})"
+                elif default not in (None, REQUIRED):
+                    text = f"{text} (default {default})"
                 flags = [f"-{option[0]}"] if option in _COMMON else []
                 self.add_argument("--" + option.replace("_", "-"), *flags, help=text, **settings)
             self.add_argument("--config", "-c", metavar="PATH",
@@ -158,7 +156,7 @@ def _options(args, parser, command) -> dict:
 
 
 def _convert(value, kind, name):
-    """Check or convert an option value, from a flag or a config file, to `kind`.
+    """Check or convert an option value, a flag's string or a config file's value, to `kind`.
 
     str and bool options take only values of that type. Numbers take ints,
     floats and numeric strings, never booleans; an int option takes a float

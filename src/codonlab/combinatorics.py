@@ -54,14 +54,12 @@ def generic_alphabet(k: int) -> tuple[str, ...]:
     return tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ"[:k])
 
 
-def _check_k_r(k, r, *, min_k: int) -> None:
-    as_int(k, "k", min_k)
-    as_int(r, "r", 0)
-
-
 def validated_alphabet(alphabet, k: int) -> tuple[str, ...]:
     """`alphabet` as a tuple of k distinct letters, each one printable column wide."""
-    alphabet = tuple(alphabet)
+    try:
+        alphabet = tuple(alphabet)
+    except TypeError:
+        raise InvalidParamsError(f"alphabet must be letters, got {alphabet!r}") from None
     if len(alphabet) != k:
         raise InvalidParamsError(f"alphabet has {len(alphabet)} letters, expected k={k}")
     if any(not isinstance(a, str) or len(a) != 1 for a in alphabet):
@@ -86,36 +84,37 @@ def _fills_one_cell(letter: str) -> bool:
             and not unicodedata.category(letter).startswith("M"))
 
 
+def _check_digits(exponent, log_base, what: str, k, r) -> None:
+    """Refuse a count of at least base**exponent (log_base is log10(base)) past the digit limit:
+    MAX_DIGITS, or the int-to-str limit where lower (3.11+, 0 meaning none), so str() never
+    refuses a count. A huge exponent is compared with a float bound, never converted."""
+    limit = min(MAX_DIGITS, getattr(sys, "get_int_max_str_digits", lambda: 0)() or MAX_DIGITS)
+    if log_base > 0 and exponent >= limit / log_base:
+        raise CapacityExceededError(f"{what} for k={k}, r={r} has more than {limit} digits")
+
+
 def arrangements(k: int, r: int) -> int:
     """Number of ordered length-r words over a k-letter alphabet: k**r.
 
     Uses the empty-word convention: r = 0 yields 1 (even for k = 0), while
-    k = 0 with r > 0 yields 0. The result is an exact integer for any k, r.
+    k = 0 with r > 0 yields 0. The result is an exact integer, refused before it is
+    computed when it would pass the digit limit (see _check_digits).
     """
-    _check_k_r(k, r, min_k=0)
+    as_int(k, "k", 0)
+    as_int(r, "r", 0)
+    _check_digits(r, math.log10(k or 1), "k**r", k, r)
     return k**r
 
 
-def check_printable(k: int, r: int) -> None:
-    """Refuse k, r whose counts would have more than MAX_DIGITS decimal digits.
-
-    The bound holds on every Python version, and it drops to the
-    interpreter's int-to-str limit (sys.get_int_max_str_digits(), 3.11+,
-    0 meaning none) where that is lower, so str() never refuses a count.
-    k**r has floor(r * log10(k)) + 1 digits and bounds the class count and
-    every class size, so this check runs before any of them is computed.
-    """
-    _check_k_r(k, r, min_k=1)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    limit = min(MAX_DIGITS, limit or MAX_DIGITS)
-    # r is compared with the float bound, never converted, so a huge r cannot overflow
-    if k > 1 and r >= limit / math.log10(k):
-        raise CapacityExceededError(f"k**r for k={k}, r={r} has more than {limit} digits")
-
-
 def multiset_count(k: int, r: int) -> int:
-    """Number of distinct content classes of length-r words: C(k+r-1, r)."""
-    _check_k_r(k, r, min_k=1)
+    """Number of distinct content classes of length-r words: C(k+r-1, r), within the digit limit.
+
+    C(n, m) >= (n/m)**m for m = min(r, k-1), so the bound refuses no count that fits the limit.
+    """
+    as_int(k, "k", 1)
+    as_int(r, "r", 0)
+    if m := min(r, k - 1):
+        _check_digits(m, math.log10(k + r - 1) - math.log10(m), "C(k+r-1, r)", k, r)
     return math.comb(k + r - 1, r)
 
 
@@ -218,10 +217,9 @@ def enumerate_multisets(k: int, r: int, *, alphabet=None,
     the class count or r + 1 exceeds `cap`, an integer >= 0: for k >= 2 the class
     count is at least r + 1 already, and for k = 1 the one class is an r-letter word.
     """
-    _check_k_r(k, r, min_k=1)
+    total = multiset_count(k, r)
     as_int(cap, "cap", 0)
     alphabet = generic_alphabet(k) if alphabet is None else validated_alphabet(alphabet, k)
-    total = multiset_count(k, r)
     if total > cap:
         raise CapacityExceededError(f"{total} classes for k={k}, r={r} exceed the cap of {cap}")
     if r + 1 > cap:
@@ -235,6 +233,8 @@ def canonicalize(word, alphabet=RNA_ALPHABET) -> MultisetClass:
     The result is invariant under any permutation of the input letters and
     idempotent: feeding the canonical word back in yields the same class.
     """
+    if not isinstance(word, str):
+        raise InvalidParamsError(f"word must be a string, got {word!r}")
     alphabet = tuple(alphabet)
     index = {letter: i for i, letter in enumerate(alphabet)}
     counts = [0] * len(alphabet)

@@ -43,8 +43,8 @@ _CODON_INDEX = {codon: i for i, codon in enumerate(ALL_CODONS)}
 
 def codon_index(codon: str) -> int:
     """Canonical index 0..63 of an RNA codon (U=0, C=1, A=2, G=3 per slot)."""
-    if len(codon) != 3:
-        raise InvalidParamsError(f"codon must have 3 bases, got {codon!r}")
+    if not isinstance(codon, str) or len(codon) != 3:
+        raise InvalidParamsError(f"codon must be a string of 3 bases, got {codon!r}")
     if codon not in _CODON_INDEX:
         base = next(base for base in codon if base not in INDEX_BASE_ORDER)
         raise UnknownLetterError(f"{base!r} in {codon!r} is not an RNA base")

@@ -87,27 +87,22 @@ def _json_skeleton(node):
     return "\0"
 
 
-# (command, mode, key) -> a layout, laid out from the first report of its command emitted
-# rather than from one of its own, which for analyze would parse a table no caller asked for
+# (command, mode, key, value count, top-level keys) -> a layout, from the first report of that
+# shape emitted: a fixed report of its own would, for analyze, parse a table no caller asked for
 _json_layouts = {}
 
 
 def _json(report, key=None, items=()):
-    """The report as json.dumps(report, indent=2) + "\\n" spells it, from its command's layout.
+    """The report as json.dumps(report, indent=2) + "\\n" spells it, from its shape's layout.
 
     With `key`, the report is a head, closed by the field `key`: a list of `items`, each
     preformatted as json.dumps spells it. Every builder keeps one shape rule: keys, their order
     and the length of every list of objects do not depend on the inputs, so the first report's
-    layout, with a `{}` slot for each value, serves every report of its command. Values are
-    spelled as json.dumps spells them (a report's floats are finite); a list of strings holds
-    codons or product symbols, which need no escaping.
+    layout, with a `{}` slot for each value, serves every report of its command; a report whose
+    caller added or removed a key differs in its keys or its number of values, and gets its own.
+    Values are spelled as json.dumps spells them (a report's floats are finite); a list of
+    strings holds codons or product symbols, which need no escaping.
     """
-    shape = (report["command"], report.get("mode"), key)
-    if shape not in _json_layouts:
-        import json
-        text = json.dumps(_json_skeleton(report), indent=2)
-        text = text[:-2] + f',\n  "{key}": [\n    ' if key else text + "\n"
-        _json_layouts[shape] = text.replace("{", "{{").replace("}", "}}").replace(r'"\u0000"', "{}")
     from json.encoder import encode_basestring_ascii  # how json.dumps escapes a string
     values = []
 
@@ -126,6 +121,12 @@ def _json(report, key=None, items=()):
                 values.append(repr(value))
 
     add(report)
+    shape = (report["command"], report.get("mode"), key, len(values), tuple(report))
+    if shape not in _json_layouts:
+        import json
+        text = json.dumps(_json_skeleton(report), indent=2)
+        text = text[:-2] + f',\n  "{key}": [\n    ' if key else text + "\n"
+        _json_layouts[shape] = text.replace("{", "{{").replace("}", "}}").replace(r'"\u0000"', "{}")
     head = [_json_layouts[shape].format(*values)]
     return itertools.chain(head, _chunked(items, ",\n    "), ["\n  ]\n}\n"]) if key else head
 
@@ -145,19 +146,13 @@ def build_count_report(k: int, r: int, *, alphabet=None, cap: int | None = None,
                        include_classes: bool = True) -> dict:
     """The two counts and, unless skipped, the classes as a lazy MultisetClasses.
 
-    Every check (the digit bound, the alphabet, the cap, by default
-    combinatorics.DEFAULT_CLASS_CAP) runs here, before any class is
-    generated; skipped classes skip only the cap's bound on the class count.
+    Each value is checked once, before any class is generated: k, r and the digit
+    bound by the two counts, the cap (by default combinatorics.DEFAULT_CLASS_CAP)
+    and the alphabet by enumerate_multisets, or here when the classes are skipped.
     The text and JSON layouts add the partition identity: whether the
     classes' survey of their sizes sums to this report's `arrangements`.
     """
     from . import combinatorics
-    if cap is None:
-        cap = combinatorics.DEFAULT_CLASS_CAP
-    combinatorics.check_printable(k, r)
-    as_int(cap, "cap", 0)
-    if alphabet is not None:
-        combinatorics.validated_alphabet(alphabet, k)
     report = {
         "command": "count",
         "k": k,
@@ -166,7 +161,13 @@ def build_count_report(k: int, r: int, *, alphabet=None, cap: int | None = None,
         "multiset_count": combinatorics.multiset_count(k, r),
     }
     if include_classes:
+        cap = combinatorics.DEFAULT_CLASS_CAP if cap is None else cap
         report["classes"] = combinatorics.enumerate_multisets(k, r, alphabet=alphabet, cap=cap)
+    else:
+        if cap is not None:
+            as_int(cap, "cap", 0)
+        if alphabet is not None:
+            combinatorics.validated_alphabet(alphabet, k)
     return report
 
 

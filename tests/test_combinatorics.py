@@ -8,6 +8,9 @@ that the oracle reproduced before it was frozen into the test.
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import unicodedata
 from collections import Counter
 
@@ -83,6 +86,60 @@ def test_count_symmetry_with_binomial():
     for k in range(1, 11):
         for r in range(0, 11):
             assert multiset_count(k, r) == math.comb(k + r - 1, k - 1)
+
+
+# the digit limit: MAX_DIGITS, or the interpreter's int-to-str limit where that is lower
+LIMIT = min(4300, getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300)
+
+
+def evaluated_in_child(expression, seconds=30):
+    """`expression`, over codonlab's public names, evaluated by a fresh interpreter that may
+    map 1 GiB and is stopped after `seconds`: its value's digit count, or its error's name.
+
+    A missing bound on a count's work then fails a test rather than hanging it.
+    """
+    code = ("import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from codonlab import *\n"
+            f"try:\n    print(len(str({expression})))\n"
+            "except Exception as exc:\n    print(type(exc).__name__)\n")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONINTMAXSTRDIGITS"}
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=env, timeout=seconds)
+    return child.stdout.strip()
+
+
+@pytest.mark.parametrize("expression, outcome", [
+    ("arrangements(3, 2**70)", "CapacityExceededError"),
+    ("arrangements(10, 4299)", "4300"),  # 10**4299 has the 4,300 digits allowed
+    ("arrangements(10, 4300)", "CapacityExceededError"),
+    ("multiset_count(2**70, 2**70)", "CapacityExceededError"),
+    ("multiset_count(10**6, 10**6)", "CapacityExceededError"),
+    ("multiset_count(7001, 7000)", "4213"),
+    ("enumerate_multisets(2**70, 2**70)", "CapacityExceededError"),
+])
+def test_counts_refuse_work_past_the_digit_limit_in_time(expression, outcome):
+    assert evaluated_in_child(expression) == outcome
+
+
+@given(k=st.integers(2, 10**6), shift=st.integers(-2, 2))
+@settings(max_examples=100, deadline=None)
+def test_arrangements_refuses_exactly_the_powers_past_the_limit(k, shift):
+    r = max(0, round(LIMIT / math.log10(k)) + shift)  # near the bound
+    try:
+        assert arrangements(k, r) < 10**LIMIT
+    except CapacityExceededError:
+        assert k**r >= 10**LIMIT
+
+
+@given(k=st.integers(1, 16000), r=st.integers(0, 16000))
+@settings(max_examples=200, deadline=None)
+def test_multiset_count_refuses_no_count_within_the_limit(k, r):
+    exact = math.comb(k + r - 1, r)
+    try:
+        assert multiset_count(k, r) == exact
+    except CapacityExceededError:
+        assert exact >= 10**LIMIT
 
 
 def test_arrangements_empty_alphabet_convention():
@@ -255,6 +312,9 @@ def test_canonicalize_rejects_unknown_letters():
         canonicalize("AXG")
     with pytest.raises(UnknownLetterError):
         canonicalize("ABC", alphabet="AB")
+    for word in (None, ["A", "C"]):
+        with pytest.raises(InvalidParamsError, match="^word must be a string"):
+            canonicalize(word)
 
 
 # --- class sizes ------------------------------------------------------------
@@ -303,6 +363,8 @@ def test_rejects_malformed_alphabets():
         enumerate_multisets(2, 2, alphabet="AA")  # duplicate letters
     with pytest.raises(InvalidParamsError):
         enumerate_multisets(2, 2, alphabet=("AB", "C"))  # not single chars
+    with pytest.raises(InvalidParamsError):
+        enumerate_multisets(2, 2, alphabet=5)  # not a sequence
 
 
 # --- property-based checks --------------------------------------------------

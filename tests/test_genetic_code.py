@@ -117,8 +117,9 @@ def test_codon_index_corner_values():
 
 
 def test_codon_index_rejects_bad_input():
-    with pytest.raises(InvalidParamsError):
-        codon_index("AU")
+    for codon in ("AU", None, ["U", "U", "U"]):
+        with pytest.raises(InvalidParamsError, match="^codon must be a string of 3 bases"):
+            codon_index(codon)
     with pytest.raises(UnknownLetterError, match="^'T' in 'ATG' is not an RNA base$"):
         codon_index("ATG")  # DNA spelling is not an index key
     with pytest.raises(UnknownLetterError, match="^'x' in 'UxT'"):  # the first bad base

@@ -32,6 +32,7 @@ from codonlab import (
     solve_n,
     symmetry,
 )
+from codonlab import cli
 from codonlab.cli import main
 from codonlab.genetic_code import PRODUCT_SYMBOLS, STANDARD_TABLE_TEXT, parse_table
 from codonlab.reports import (
@@ -171,6 +172,14 @@ def test_count_digit_bound_is_fixed_and_respects_a_lower_interpreter_limit(env_l
     printed = subprocess.run([*argv, str(bound - 1)], capture_output=True, env=env, timeout=60)
     assert printed.returncode == 0
     assert str(10 ** (bound - 1)).encode() in printed.stdout
+
+
+def test_count_refuses_a_huge_r_at_once():
+    # k**r is refused from r's digit bound before it is computed, so this exits in time
+    argv = [sys.executable, "-m", "codonlab", "count", "--k", "3", "--r", "9" * 20]
+    refused = subprocess.run(argv, capture_output=True, timeout=60)
+    assert refused.returncode == 3 and refused.stdout == b""
+    assert refused.stderr.startswith(b"error: k**r for k=3, r=99999999999999999999 has more than")
 
 
 def test_count_skip_classes_csv_carries_both_counts():
@@ -701,6 +710,24 @@ def test_every_json_report_matches_json_dumps(case):
     assert render(report, "json") == expected
 
 
+def test_json_of_a_report_with_a_key_added_or_removed():
+    # a layout serves only reports of its own keys and number of values
+    def dumped(report):
+        return json.dumps(report, indent=2) + "\n"
+
+    solve_n = build_grover_solve_n_report(3)
+    energy = build_energy_report(PhysicalParams(), 3.0)
+    assert render(solve_n, "json") == dumped(solve_n)  # lays out each command's own layout
+    assert render(energy, "json") == dumped(energy)
+    added, removed = dict(solve_n, note="x"), dict(solve_n)
+    del removed["q"]
+    nested_added, nested_removed = json.loads(dumped(energy)), json.loads(dumped(energy))
+    nested_added["params"]["extra"] = 1.5
+    del nested_removed["scale"]["factor"]
+    for report in (added, removed, nested_added, nested_removed, solve_n, energy):
+        assert render(report, "json") == dumped(report)
+
+
 # --- energy ----------------------------------------------------------------
 
 
@@ -833,6 +860,24 @@ def test_non_numeric_config_values_exit_2(tmp_path, argv, config):
     code, out, err = run_cli(*argv, "--config", str(path))
     assert code == 2 and out == ""
     assert "error:" in err
+
+
+# every int and float option of every command, as (command words, option, kind)
+NUMERIC_OPTIONS = [(command.split(), name, kind)
+                   for command, (_, options) in cli.COMMANDS.items() if options is not None
+                   for name, (kind, *_) in options().items() if kind in (int, float)]
+
+
+@pytest.mark.parametrize("argv, name, kind", NUMERIC_OPTIONS,
+                         ids=["-".join([*argv, name]) for argv, name, _ in NUMERIC_OPTIONS])
+def test_a_non_numeric_flag_is_refused_as_its_config_value_is(tmp_path, argv, name, kind):
+    # flags reach the one converter as strings, as config values may, so both get one line
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({name: "x"}))
+    noun = "an integer" if kind is int else "a number"
+    refused = (2, "", f"error: {name} must be {noun}, got 'x'\n")
+    assert run_cli(*argv, "--" + name.replace("_", "-"), "x") == refused
+    assert run_cli(*argv, "--config", str(path)) == refused
 
 
 def test_config_accepts_numbers_and_numeric_strings(tmp_path):
