@@ -54,13 +54,13 @@ def generic_alphabet(k: int) -> tuple[str, ...]:
     return tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ"[:k])
 
 
-def validated_alphabet(alphabet, k: int) -> tuple[str, ...]:
-    """`alphabet` as a tuple of k distinct letters, each one printable column wide."""
+def validated_alphabet(alphabet, k: int | None = None) -> tuple[str, ...]:
+    """`alphabet` as a tuple of distinct letters, each one printable column wide; k if given."""
     try:
         alphabet = tuple(alphabet)
     except TypeError:
         raise InvalidParamsError(f"alphabet must be letters, got {alphabet!r}") from None
-    if len(alphabet) != k:
+    if k is not None and len(alphabet) != k:
         raise InvalidParamsError(f"alphabet has {len(alphabet)} letters, expected k={k}")
     if any(not isinstance(a, str) or len(a) != 1 for a in alphabet):
         raise InvalidParamsError("alphabet letters must be single characters")
@@ -87,9 +87,11 @@ def _fills_one_cell(letter: str) -> bool:
 def _check_digits(exponent, log_base, what: str, k, r) -> None:
     """Refuse a count of at least base**exponent (log_base is log10(base)) past the digit limit:
     MAX_DIGITS, or the int-to-str limit where lower (3.11+, 0 meaning none), so str() never
-    refuses a count. A huge exponent is compared with a float bound, never converted."""
+    refuses a count. A huge exponent is compared with a float bound, never converted, and a k
+    or r that str() could refuse (3 bits per allowed digit or more) is named by its length."""
     limit = min(MAX_DIGITS, getattr(sys, "get_int_max_str_digits", lambda: 0)() or MAX_DIGITS)
     if log_base > 0 and exponent >= limit / log_base:
+        k, r = (v if v.bit_length() < 3 * limit else f"a {v.bit_length()}-bit int" for v in (k, r))
         raise CapacityExceededError(f"{what} for k={k}, r={r} has more than {limit} digits")
 
 
@@ -235,7 +237,7 @@ def canonicalize(word, alphabet=RNA_ALPHABET) -> MultisetClass:
     """
     if not isinstance(word, str):
         raise InvalidParamsError(f"word must be a string, got {word!r}")
-    alphabet = tuple(alphabet)
+    alphabet = validated_alphabet(alphabet)
     index = {letter: i for i, letter in enumerate(alphabet)}
     counts = [0] * len(alphabet)
     for letter in word:

@@ -38,11 +38,11 @@ class TableFormatError(CodonLabError, ValueError):
         super().__init__(message)
 
 
-def as_int(value, name: str, minimum: int) -> int:
-    """`value` if it is an int, not a bool, and at least `minimum`."""
+def as_int(value, name: str, minimum: int | None = None) -> int:
+    """`value` if it is an int, not a bool, and at least `minimum` (unless None)."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise InvalidParamsError(f"{name} must be >= {minimum}, got {value}")
     return value
 

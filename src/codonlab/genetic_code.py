@@ -76,7 +76,8 @@ class GeneticCode(Record):
 
     def translate(self, codon: str) -> str:
         """Product symbol for a codon; accepts DNA or RNA spelling, any case."""
-        codon = codon.upper().replace("T", "U")
+        if isinstance(codon, str):  # codon_index refuses anything else
+            codon = codon.upper().replace("T", "U")
         return self.aas[codon_index(codon)]
 
     @property
@@ -135,6 +136,8 @@ def parse_table(text: str) -> GeneticCode:
     violation: malformed lines, wrong field width, unknown letters, missing
     fields, or Base lines that do not list each codon exactly once.
     """
+    if not isinstance(text, str):
+        raise InvalidParamsError(f"table text must be a string, got {type(text).__name__}")
     fields = _scan_fields(text)
     for key in ("AAs", "Base1", "Base2", "Base3"):
         if key not in fields:
@@ -195,15 +198,17 @@ Base3  = TCAGTCAGTCAGTCAGTCAGTCAGTCAGTCAGTCAGTCAGTCAGTCAGTCAGTCAGTCAGTCAG
 BUILTIN_TABLE_TEXTS = {"standard": STANDARD_TABLE_TEXT}
 
 
-@functools.lru_cache(maxsize=None)
 def builtin_code(name: str = "standard") -> GeneticCode:
-    """A built-in code by name; only "standard" ships currently."""
-    try:
-        text = BUILTIN_TABLE_TEXTS[name]
-    except KeyError:
+    """A built-in code by name, parsed once; only "standard" ships currently."""
+    if not isinstance(name, str) or name not in BUILTIN_TABLE_TEXTS:  # before the cache hashes it
         known = ", ".join(sorted(BUILTIN_TABLE_TEXTS))
-        raise InvalidParamsError(f"unknown builtin code {name!r} (known: {known})") from None
-    return parse_table(text)
+        raise InvalidParamsError(f"unknown builtin code {name!r} (known: {known})")
+    return _parsed_builtin(name)
+
+
+@functools.lru_cache(maxsize=None)
+def _parsed_builtin(name: str) -> GeneticCode:
+    return parse_table(BUILTIN_TABLE_TEXTS[name])
 
 
 def builtin_standard_code() -> GeneticCode:

@@ -10,6 +10,7 @@ import itertools
 from functools import lru_cache
 
 from .combinatorics import RNA_ALPHABET, MultisetClass, canonicalize
+from .errors import as_int
 from .genetic_code import (
     ALL_CODONS,
     INDEX_BASE_ORDER,
@@ -150,12 +151,12 @@ def prefix_significance(code: GeneticCode) -> PrefixReport:
 
 
 def random_code(seed: int) -> GeneticCode:
-    """Deterministic pseudo-random code: same seed, same code.
+    """Deterministic pseudo-random code: same seed (any int), same code.
 
     Every codon gets an independent uniform product symbol, stop included.
     """
     import random  # only here, so start-up does not load it
-    rng = random.Random(seed)
+    rng = random.Random(as_int(seed, "seed"))
     aas = "".join(PRODUCT_SYMBOLS[rng.randrange(len(PRODUCT_SYMBOLS))] for _ in range(64))
     return GeneticCode(name=f"random-{seed}", id=None, aas=aas)
 

@@ -1,9 +1,8 @@
 """References for the search simulator.
 
 `simulate_vector` applies the sign flip and the inversion about the mean to
-all n amplitudes, so it shares no arithmetic with `codonlab.simulate`, which
-carries only the (marked, unmarked) pair. Tests that call it skip when numpy
-is not installed.
+all n amplitudes, a plain list, so it shares no arithmetic with
+`codonlab.simulate`, which carries only the (marked, unmarked) pair.
 
 `simulate_pair` is the plain two-amplitude loop, one step at a time: negate
 the marked amplitude, take the mean, reflect both amplitudes about it, and
@@ -13,18 +12,16 @@ for bit.
 
 import math
 
-import pytest
-
 
 def simulate_vector(n: int, q: int, marked: int = 0):
     """Return (amplitudes, probability_trace) after q iterations on n amplitudes."""
-    np = pytest.importorskip("numpy")
-    amplitudes = np.full(n, 1.0 / math.sqrt(n))
-    trace = [float(amplitudes[marked]) ** 2]
+    amplitudes = [1.0 / math.sqrt(n)] * n
+    trace = [amplitudes[marked] ** 2]
     for _ in range(q):
         amplitudes[marked] = -amplitudes[marked]
-        amplitudes = 2.0 * amplitudes.mean() - amplitudes
-        trace.append(float(amplitudes[marked]) ** 2)
+        mean = math.fsum(amplitudes) / n
+        amplitudes = [2.0 * mean - x for x in amplitudes]
+        trace.append(amplitudes[marked] ** 2)
     return amplitudes, tuple(trace)
 
 
