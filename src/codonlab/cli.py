@@ -25,9 +25,9 @@ from .errors import CodonLabError, InvalidParamsError
 REQUIRED = object()  # the default of an option that a run cannot do without
 
 
-# command -> (help, options): options() is {option: (kind, default, help[, argparse settings])},
-# called only when the command runs, so only then are the modules its defaults name loaded. A
-# kind is int, float, str or bool (a flag that sets True); a default is a value, None or
+# command -> (help, options): options() is {option: (kind, default, help)}, called only when the
+# command runs, so only then are the modules its defaults name loaded. A kind is int, float, str,
+# bool (a flag that sets True) or the tuple of the strings allowed; a default is a value, None or
 # REQUIRED. A command of several modes has None for options; each mode is a command of its own.
 COMMANDS = {
     "count": ("count and enumerate word content classes", lambda: {
@@ -40,7 +40,7 @@ COMMANDS = {
     "analyze": ("partition a genetic code and measure coherence", lambda: {
         "builtin": (str, None,
                     f"built-in table name ({', '.join(sorted(codonlab.BUILTIN_TABLE_TEXTS))})"),
-        "table": (str, None, "translation-table file", {"metavar": "PATH"}),
+        "table": (str, None, "translation-table file"),
         "random_seed": (int, None, "analyze a seeded synthetic random code instead of a table"),
     }),
     "grover": ("query-count relations and search simulation", None),
@@ -66,8 +66,8 @@ COMMANDS = {
 }
 # the options every command takes after its own, each with a one-letter flag too
 _COMMON = {
-    "format": (str, "text", "output format", {"choices": ("text", "json", "csv")}),
-    "output": (str, None, "write the report to PATH instead of stdout", {"metavar": "PATH"}),
+    "format": (("text", "json", "csv"), "text", "output format: text, json or csv"),
+    "output": (str, None, "write the report to OUTPUT instead of stdout"),
 }
 
 
@@ -82,13 +82,14 @@ class _Parser(argparse.ArgumentParser):
 
     command = None
 
+    def error(self, message):  # an unknown flag, a missing value: one `error:` line, no usage
+        raise InvalidParamsError(" ".join(message.splitlines()))  # it may quote a line break
+
     def parse_known_args(self, args=None, namespace=None):
         if self.command is not None:
-            for option, (kind, default, text, *extra) in _command_options(self.command).items():
-                settings = dict(*extra)
-                if kind is bool:
-                    settings.update(action="store_const", const=True)
-                elif default not in (None, REQUIRED):
+            for option, (kind, default, text) in _command_options(self.command).items():
+                settings = {"action": "store_const", "const": True} if kind is bool else {}
+                if kind is not bool and default not in (None, REQUIRED):
                     text = f"{text} (default {default})"
                 flags = [f"-{option[0]}"] if option in _COMMON else []
                 self.add_argument("--" + option.replace("_", "-"), *flags, help=text, **settings)
@@ -117,51 +118,52 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _options(args, parser, command) -> dict:
+def _options(args, command) -> dict:
     """Every option of `command`: its flag, else its config-file value, else its default.
 
     Config keys are checked against the command's options when the file is read; every
-    value is then checked for type and choices, the required ones for presence, before any work.
+    value is then checked by `_convert`, the required ones for presence, before any work.
     """
     options = _command_options(command)
     config = {}
     if args.config is not None:
         import json
         try:
-            with open(args.config, encoding="utf-8") as handle:
+            with open(args.config, encoding="utf-8-sig") as handle:  # a byte-order mark or none
                 config = json.load(handle)
         except (OSError, ValueError) as exc:
-            parser.error(f"cannot read config file: {exc}")
+            raise InvalidParamsError(f"cannot read config file: {exc}") from exc
         if not isinstance(config, dict):
-            parser.error("config file must hold a JSON object")
+            raise InvalidParamsError("config file must hold a JSON object")
         unknown = sorted(set(config) - set(options))
         if unknown:
-            parser.error(f"config file has unknown option(s) {', '.join(map(repr, unknown))}"
-                         f" for this command")
+            raise InvalidParamsError("config file has unknown option(s) "
+                                     f"{', '.join(map(repr, unknown))} for this command")
     values = {}
-    for name, (kind, default, _, *extra) in options.items():
+    for name, (kind, default, _) in options.items():
         value = getattr(args, name)
         if value is None:
             value = config.get(name)  # a JSON null counts as absent
         if value is None and default is not REQUIRED:
             value = default
         values[name] = None if value is None else _convert(value, kind, name)
-        choices = dict(*extra).get("choices")  # argparse checks a flag's; this, a config value's
-        if choices and values[name] not in choices:
-            raise InvalidParamsError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
-    required = [name for name, (_, default, *_) in options.items() if default is REQUIRED]
+    required = [name for name, (_, default, _) in options.items() if default is REQUIRED]
     if any(values[name] is None for name in required):
-        parser.error(f"{command} requires {' and '.join('--' + name for name in required)}")
+        raise InvalidParamsError(f"{command} requires --{' and --'.join(required)}")
     return values
 
 
 def _convert(value, kind, name):
     """Check or convert an option value, a flag's string or a config file's value, to `kind`.
 
-    str and bool options take only values of that type. Numbers take ints,
-    floats and numeric strings, never booleans; an int option takes a float
-    only when it is integral: 3.0 is 3, 3.7 is refused rather than truncated.
+    A tuple kind takes only one of its strings; str and bool options take only values of
+    that type. Numbers take ints, floats and numeric strings, never booleans; an int option
+    takes a float only when it is integral: 3.0 is 3, 3.7 is refused rather than truncated.
     """
+    if type(kind) is tuple:
+        if value in kind:
+            return value
+        raise InvalidParamsError(f"{name} must be one of {', '.join(kind)}, got {value!r}")
     if kind in (str, bool):
         if isinstance(value, kind):
             return value
@@ -179,7 +181,7 @@ def _convert(value, kind, name):
         raise InvalidParamsError(f"{name} must be {noun}, got {value!r}") from None
 
 
-def _report(command, options, parser) -> dict:
+def _report(command, options) -> dict:
     """Build `command`'s report from its resolved options."""
     from . import reports
     if command == "count":
@@ -189,13 +191,14 @@ def _report(command, options, parser) -> dict:
     if command == "analyze":
         name, path, seed = options["builtin"], options["table"], options["random_seed"]
         if [name, path, seed].count(None) != 2:
-            parser.error("analyze requires exactly one of --builtin, --table, --random-seed")
+            raise InvalidParamsError("analyze requires exactly one of --builtin, --table,"
+                                     " --random-seed")
         if name is not None:
             code, source = codonlab.builtin_code(name), f"builtin:{name}"
         elif path is not None:
             try:
                 path.encode("utf-8")  # the report prints the path, so it must be UTF-8
-                with open(path, encoding="utf-8") as handle:
+                with open(path, encoding="utf-8-sig") as handle:  # a byte-order mark or none
                     text = handle.read()
             except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
                 raise InvalidParamsError(f"cannot read table file: {exc}") from exc
@@ -263,12 +266,11 @@ def _write(chunks, output) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    command = " ".join(filter(None, (args.command, getattr(args, "mode", None))))
     try:
-        options = _options(args, parser, command)
-        report = _report(command, options, parser)
+        args = build_parser().parse_args(argv)
+        command = " ".join(filter(None, (args.command, getattr(args, "mode", None))))
+        options = _options(args, command)
+        report = _report(command, options)
         from . import reports
         _write(reports.emit(report, fmt=options["format"]), options["output"])
     except CodonLabError as exc:

@@ -238,16 +238,11 @@ def canonicalize(word, alphabet=RNA_ALPHABET) -> MultisetClass:
     if not isinstance(word, str):
         raise InvalidParamsError(f"word must be a string, got {word!r}")
     alphabet = validated_alphabet(alphabet)
-    index = {letter: i for i, letter in enumerate(alphabet)}
-    counts = [0] * len(alphabet)
-    for letter in word:
-        if letter not in index:
-            raise UnknownLetterError(
-                f"letter {letter!r} is not in alphabet {''.join(alphabet)!r}"
-            )
-        counts[index[letter]] += 1
-    canonical = "".join(letter * counts[i] for i, letter in enumerate(alphabet))
-    return MultisetClass(canonical, tuple(counts), alphabet)
+    if unknown := set(word).difference(alphabet):
+        letter = next(letter for letter in word if letter in unknown)
+        raise UnknownLetterError(f"letter {letter!r} is not in alphabet {''.join(alphabet)!r}")
+    counts = tuple(map(word.count, alphabet))
+    return MultisetClass("".join(map(str.__mul__, alphabet, counts)), counts, alphabet)
 
 
 def class_size(cls: MultisetClass) -> int:

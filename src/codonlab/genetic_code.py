@@ -64,6 +64,8 @@ class GeneticCode(Record):
     starts: frozenset[str] = frozenset()
 
     def _check(self):
+        if not isinstance(self.name, str):
+            raise InvalidParamsError(f"name must be a string, got {self.name!r}")
         if not (self.id is None or type(self.id) is int):  # not a bool, a float or a str
             raise InvalidParamsError(f"id must be an integer or None, got {self.id!r}")
         if len(self.aas) != 64:
@@ -176,8 +178,11 @@ def parse_table(text: str) -> GeneticCode:
 def serialize_table(code: GeneticCode) -> str:
     """Render a code in the table-file format (DNA spelling, canonical order).
 
-    parse_table(serialize_table(code)) == code for every valid code.
+    parse_table(serialize_table(code)) == code for every code it writes; a name that the
+    format cannot hold, one with a line break or whitespace at either end, is refused.
     """
+    if code.name != code.name.strip() or len(code.name.splitlines()) > 1:
+        raise InvalidParamsError(f"a table file cannot hold the name {code.name!r}")
     fields = {"name": code.name, "id": code.id, "AAs": code.aas,
               "Starts": "".join("M" if codon in code.starts else "-" for codon in ALL_CODONS)}
     for i in range(3):

@@ -79,10 +79,10 @@ def _table(headers, rows, widths=None):
 
 
 def _json_skeleton(node):
-    """`node` with each value, a scalar or a list of strings, replaced by "\\0"."""
+    """`node` with each value, a scalar, a list of strings or an empty list, replaced by "\\0"."""
     if isinstance(node, dict):
         return {key: _json_skeleton(value) for key, value in node.items()}
-    if isinstance(node, list) and isinstance(node[0], dict):
+    if isinstance(node, list) and node and isinstance(node[0], dict):
         return list(map(_json_skeleton, node))
     return "\0"
 
@@ -109,10 +109,11 @@ def _json(report, key=None, items=()):
     def add(node):  # in json.dumps order; the builder makes every dict and list exactly that
         for value in node.values() if type(node) is dict else node:
             kind = type(value)
-            if kind is dict or kind is list and type(value[0]) is dict:
+            if kind is dict or kind is list and value and type(value[0]) is dict:
                 add(value)
-            elif kind is list:  # of strings, in an analyze class or prefix entry
-                values.append('[\n          "' + '",\n          "'.join(value) + '"\n        ]')
+            elif kind is list:  # of strings, in an analyze class or prefix entry, or empty
+                values.append('[\n          "' + '",\n          "'.join(value) + '"\n        ]'
+                              if value else "[]")
             elif isinstance(value, str):
                 values.append(encode_basestring_ascii(value))
             elif value is None or isinstance(value, bool):

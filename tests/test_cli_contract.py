@@ -2,8 +2,9 @@
 
 Whatever the options, their values and where they come from (flags or a
 config file), a run exits 0, 2 or 3 without a traceback; a failed run
-prints nothing to stdout; JSON output is strict RFC 8259; and a failed run
-with --output leaves neither the target nor a temporary file behind.
+prints nothing to stdout and one `error:` line, and no usage, to stderr;
+JSON output is strict RFC 8259; and a failed run with --output leaves
+neither the target nor a temporary file behind.
 """
 
 import json
@@ -165,7 +166,7 @@ def test_cli_contract_holds_for_generated_invocations(invocation):
         after = set(os.listdir(workdir))
         if code != 0:
             assert out == "", (argv, config)
-            assert err
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
             assert after == before, (argv, config, after - before)
             return
         to_file = target not in (None, "-")
@@ -178,6 +179,42 @@ def test_cli_contract_holds_for_generated_invocations(invocation):
         assert out.endswith("\n")
         if effective == "json":
             strict_json(out)
+
+
+MISSING = "missing.json"  # a config path that names no file
+
+
+@pytest.mark.parametrize("argv, config, line", [
+    (("count",), None, "error: count requires --k and --r"),
+    (("analyze", "--builtin", "standard", "--random-seed", "1"), None,
+     "error: analyze requires exactly one of --builtin, --table, --random-seed"),
+    (("count", "--k", "2", "--r", "2", "--format", "xml"), None,
+     "error: format must be one of text, json, csv, got 'xml'"),
+    (("count", "--k", "2", "--r", "2"), MISSING,
+     "error: cannot read config file: [Errno 2] No such file or directory: '{path}'"),
+    (("count",), [1, 2], "error: config file must hold a JSON object"),
+    (("count",), {"k": 2, "r": 2, "bogus": 1},
+     "error: config file has unknown option(s) 'bogus' for this command"),
+    # argparse's own refusals, whose wording varies across Pythons
+    ((), None, None),
+    (("grover",), None, None),
+    (("count", "--k"), None, None),
+    (("count", "--k", "2", "--r", "2", "--bogus"), None, None),
+    (("count", "--k", "2", "--r", "2", "a\nb"), None, None),  # still one line
+])
+def test_a_refused_run_prints_one_error_line_and_no_usage(tmp_path, argv, config, line):
+    path = tmp_path / "config.json"
+    if config is not None:
+        if config != MISSING:
+            path.write_text(json.dumps(config))
+        argv = (*argv, "--config", str(path))
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    if line is None:
+        assert err.startswith("error: "), err
+    else:
+        assert err == line.format(path=path) + "\n"
 
 
 def argv_format(argv):

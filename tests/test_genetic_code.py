@@ -210,6 +210,24 @@ def test_round_trip_over_many_seeds():
         assert parse_table(serialize_table(code)) == code
 
 
+@settings(max_examples=300)
+@given(st.text())
+def test_serialize_refuses_a_name_or_round_trips_it_exactly(name):
+    code = GeneticCode(name=name, id=5, aas=ORACLE_AAS, starts=frozenset({"AUG"}))
+    try:
+        text = serialize_table(code)
+    except InvalidParamsError:
+        return
+    assert parse_table(text) == code
+
+
+@pytest.mark.parametrize("name", ["  padded ", "x\r", "a\nb", "a\u2028b", "\t"])
+def test_serialize_refuses_a_name_the_table_format_cannot_hold(name):
+    # parse_table strips a value and splits lines as str.splitlines does
+    with pytest.raises(InvalidParamsError, match="cannot hold the name"):
+        serialize_table(GeneticCode(name=name, id=None, aas=ORACLE_AAS))
+
+
 # --- parse errors carry positions -------------------------------------------
 
 
@@ -429,6 +447,12 @@ def test_code_rejects_an_id_that_is_not_none_or_an_int(bad_id):
     # analyze JSON would spell a float id `nan`, `inf` or `7.0`, a str "7" and a bool true
     with pytest.raises(InvalidParamsError, match="id must be an integer or None"):
         GeneticCode(name="x", id=bad_id, aas="M" * 64)
+
+
+@pytest.mark.parametrize("bad_name", [None, 7, b"x"])
+def test_code_rejects_a_name_that_is_not_a_string(bad_name):
+    with pytest.raises(InvalidParamsError, match="name must be a string"):
+        GeneticCode(name=bad_name, id=None, aas="M" * 64)
 
 
 @pytest.mark.parametrize("good_id", [None, 0, 1, -3, 10**30])

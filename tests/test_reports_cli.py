@@ -501,6 +501,18 @@ def test_analyze_table_file(tmp_path):
     assert report["violations"] == builtin["violations"]
 
 
+def test_table_and_config_files_may_start_with_a_byte_order_mark(tmp_path):
+    # as some Windows editors save them: each gives the report of the plain file
+    table, config = tmp_path / "code.table", tmp_path / "cfg.json"
+    runs = []
+    for table_mark, config_mark in ((b"", b""), (b"\xef\xbb\xbf", b""), (b"", b"\xef\xbb\xbf")):
+        table.write_bytes(table_mark + (GOLDEN / "vertebrate_mitochondrial.table").read_bytes())
+        config.write_bytes(config_mark + b'{"format": "json"}')
+        runs.append(run_cli("analyze", "--table", str(table), "--config", str(config)))
+    assert runs[0][0] == 0 and json.loads(runs[0][1])["code"]["name"] == "Vertebrate Mitochondrial"
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
 def test_analyze_malformed_table_emits_nothing(tmp_path):
     table = tmp_path / "broken.txt"
     table.write_text(STANDARD_TABLE_TEXT.replace("TCAG", "TCG", 1))
@@ -719,12 +731,15 @@ def test_json_of_a_report_with_a_key_added_or_removed():
     energy = build_energy_report(PhysicalParams(), 3.0)
     assert render(solve_n, "json") == dumped(solve_n)  # lays out each command's own layout
     assert render(energy, "json") == dumped(energy)
-    added, removed = dict(solve_n, note="x"), dict(solve_n)
+    added, removed, tagged = dict(solve_n, note="x"), dict(solve_n), dict(solve_n, tags=[])
     del removed["q"]
     nested_added, nested_removed = json.loads(dumped(energy)), json.loads(dumped(energy))
+    nested_tagged = json.loads(dumped(energy))
     nested_added["params"]["extra"] = 1.5
     del nested_removed["scale"]["factor"]
-    for report in (added, removed, nested_added, nested_removed, solve_n, energy):
+    nested_tagged["params"]["tags"] = nested_tagged["scale"]["tags"] = []  # each [] has a slot
+    for report in (added, removed, tagged, nested_added, nested_removed, nested_tagged, solve_n,
+                   energy):
         assert render(report, "json") == dumped(report)
 
 
