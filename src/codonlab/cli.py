@@ -23,6 +23,7 @@ import codonlab  # the package, whose public names load their module on first us
 from .errors import CodonLabError, InvalidParamsError
 
 REQUIRED = object()  # the default of an option that a run cannot do without
+_MAX_FILE_CHARS = 1 << 20  # a --table or --config file's cap: a table is 7 lines, a config a few
 
 
 # command -> (help, options): options() is {option: (kind, default, help)}, called only when the
@@ -128,11 +129,7 @@ def _options(args, command) -> dict:
     config = {}
     if args.config is not None:
         import json
-        try:
-            with open(args.config, encoding="utf-8-sig") as handle:  # a byte-order mark or none
-                config = json.load(handle)
-        except (OSError, ValueError) as exc:
-            raise InvalidParamsError(f"cannot read config file: {exc}") from exc
+        config = _read(args.config, "config", json.loads)
         if not isinstance(config, dict):
             raise InvalidParamsError("config file must hold a JSON object")
         unknown = sorted(set(config) - set(options))
@@ -151,6 +148,20 @@ def _options(args, command) -> dict:
     if any(values[name] is None for name in required):
         raise InvalidParamsError(f"{command} requires --{' and --'.join(required)}")
     return values
+
+
+def _read(path, what, parse=str):
+    """A --table or --config file's text past any byte-order mark, parsed by `parse`, or refused."""
+    try:
+        if what == "table":
+            path.encode("utf-8")  # the report prints the path, so it must be UTF-8
+        with open(path, encoding="utf-8-sig") as handle:
+            text = handle.read(_MAX_FILE_CHARS + 1)  # so an endless file is refused as a long one
+        if len(text) > _MAX_FILE_CHARS:
+            raise ValueError(f"longer than {_MAX_FILE_CHARS} characters")
+        return parse(text)
+    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, a NUL in the path, deep JSON
+        raise InvalidParamsError(f"cannot read {what} file: {exc}") from exc
 
 
 def _convert(value, kind, name):
@@ -196,13 +207,7 @@ def _report(command, options) -> dict:
         if name is not None:
             code, source = codonlab.builtin_code(name), f"builtin:{name}"
         elif path is not None:
-            try:
-                path.encode("utf-8")  # the report prints the path, so it must be UTF-8
-                with open(path, encoding="utf-8-sig") as handle:  # a byte-order mark or none
-                    text = handle.read()
-            except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
-                raise InvalidParamsError(f"cannot read table file: {exc}") from exc
-            code, source = codonlab.parse_table(text), f"table:{path}"
+            code, source = codonlab.parse_table(_read(path, "table")), f"table:{path}"
         else:
             code, source = codonlab.random_code(seed), f"random-seed:{seed}"
         return reports.build_analyze_report(code, source)

@@ -84,12 +84,16 @@ def _fills_one_cell(letter: str) -> bool:
             and not unicodedata.category(letter).startswith("M"))
 
 
+def _digit_limit() -> int:
+    """MAX_DIGITS, or the int-to-str limit where lower (3.11+, 0 meaning none)."""
+    return min(MAX_DIGITS, getattr(sys, "get_int_max_str_digits", lambda: 0)() or MAX_DIGITS)
+
+
 def _check_digits(exponent, log_base, what: str, k, r) -> None:
-    """Refuse a count of at least base**exponent (log_base is log10(base)) past the digit limit:
-    MAX_DIGITS, or the int-to-str limit where lower (3.11+, 0 meaning none), so str() never
-    refuses a count. A huge exponent is compared with a float bound, never converted, and a k
-    or r that str() could refuse (3 bits per allowed digit or more) is named by its length."""
-    limit = min(MAX_DIGITS, getattr(sys, "get_int_max_str_digits", lambda: 0)() or MAX_DIGITS)
+    """Refuse a count of at least base**exponent (log_base is log10(base)) past _digit_limit(), so
+    str() never refuses a count. A huge exponent is compared with a float bound, never converted,
+    and a k or r that str() could refuse (3 bits per allowed digit or more) is named by length."""
+    limit = _digit_limit()
     if log_base > 0 and exponent >= limit / log_base:
         k, r = (v if v.bit_length() < 3 * limit else f"a {v.bit_length()}-bit int" for v in (k, r))
         raise CapacityExceededError(f"{what} for k={k}, r={r} has more than {limit} digits")

@@ -68,6 +68,10 @@ class GeneticCode(Record):
             raise InvalidParamsError(f"name must be a string, got {self.name!r}")
         if not (self.id is None or type(self.id) is int):  # not a bool, a float or a str
             raise InvalidParamsError(f"id must be an integer or None, got {self.id!r}")
+        if self.id is not None and self.id.bit_length() > 2000:  # else < 603 digits: printable
+            from .combinatorics import _digit_limit  # a limit is never below 640 digits
+            if abs(self.id) >= 10 ** _digit_limit():  # more digits than str() prints
+                raise InvalidParamsError(f"id must have at most {_digit_limit()} digits")
         if len(self.aas) != 64:
             raise InvalidParamsError(f"aas must have 64 symbols, got {len(self.aas)}")
         if self.aas.strip(PRODUCT_SYMBOLS):  # empty exactly when every symbol is known

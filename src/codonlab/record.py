@@ -11,10 +11,11 @@ class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         fields = tuple(cls.__annotations__)  # its own, in order (Python 3.10+)
-        # object.__setattr__ per field, as in dataclasses, since __setattr__ refuses assignment
-        namespace = {"setattr": object.__setattr__}
-        exec(f"def __init__(self, {', '.join(fields)}):\n"  # the names are the class's annotations
-             + "".join(f"    setattr(self, {name!r}, {name})\n" for name in fields)
+        # straight into the instance dict, in field order, since __setattr__ refuses assignment;
+        # a field's name is an annotation's, so never `__fields`, which a class body would mangle
+        namespace = {}
+        exec(f"def __init__(self, {', '.join(fields)}):\n    __fields = self.__dict__\n"
+             + "".join(f"    __fields[{name!r}] = {name}\n" for name in fields)
              + "    self._check()", namespace)
         init = cls.__init__ = namespace["__init__"]
         init.__qualname__ = f"{cls.__qualname__}.__init__"

@@ -236,40 +236,30 @@ _ANALYZE_TEXT = (
 
 
 def build_analyze_report(code, source: str) -> dict:
-    """The coherence report of a GeneticCode over the 20 content classes."""
+    """The coherence report of a GeneticCode over the 20 content classes, from the cores that
+    partition_classes and prefix_significance wrap, with no per-class or per-prefix record."""
     from . import symmetry
-    sym = symmetry.partition_classes(code)
-    prefixes = symmetry.prefix_significance(code)
-
-    profile = Counter(len(r.codons) for r in sym.per_class)
+    classes, counts = symmetry._coherence(code.aas)
+    sym = symmetry.SymmetryReport((), *counts)  # the counts and their fractions
+    prefixes, degenerate_count = symmetry._prefix_degeneracy(code.aas)
+    partition = symmetry.codon_partition()
+    profile = Counter(len(codons) for _, codons in partition)
+    stops = code.aas.count(symmetry.STOP)
     return {
         "command": "analyze",
         "source": source,
-        "code": {
-            "name": code.name,
-            "id": code.id,
-            "sense_codon_count": 64 - code.aas.count(symmetry.STOP),
-            "stop_codon_count": code.aas.count(symmetry.STOP),
-            "amino_acid_count": len(code.amino_acid_image),
-        },
+        "code": {"name": code.name, "id": code.id, "sense_codon_count": 64 - stops,
+                 "stop_codon_count": stops, "amino_acid_count": len(code.amino_acid_image)},
         "symmetry": {
-            "class_count": len(sym.per_class),
+            "class_count": len(partition),
             "size_profile": {str(size): profile[size] for size in sorted(profile)},
             "coherent_count": sym.coherent_count,
             "coherent_count_excluding_stop": sym.coherent_count_excluding_stop,
             "bijective_20_to_20": sym.bijective_20_to_20,
             "bijective_20_to_20_excluding_stop": sym.bijective_20_to_20_excluding_stop,
-            "classes": [
-                {
-                    "word": r.multiset.canonical_word,
-                    "size": len(r.codons),
-                    "codons": list(r.codons),
-                    "products": list(r.products),
-                    "coherent": r.coherent,
-                    "coherent_excluding_stop": r.coherent_excluding_stop,
-                }
-                for r in sym.per_class
-            ],
+            "classes": [{"word": cls.canonical_word, "size": len(codons), "codons": list(codons),
+                         "products": list(products), "coherent": c, "coherent_excluding_stop": cx}
+                        for (cls, codons), (products, c, cx) in zip(partition, classes)],
         },
         "violations": {
             "pairs_total": sym.pairs_total,
@@ -280,17 +270,11 @@ def build_analyze_report(code, source: str) -> dict:
             "fraction_excluding_stop": round_sig(sym.fraction_excluding_stop),
         },
         "prefix": {
-            "fully_degenerate_prefix_count": prefixes.fully_degenerate_prefix_count,
+            "fully_degenerate_prefix_count": degenerate_count,
             "full_degeneracy_amino_ceiling": symmetry.FULL_DEGENERACY_AMINO_CEILING,
-            "prefixes": [
-                {
-                    "prefix": e.prefix,
-                    "products": list(e.products),
-                    "product_set": list(e.product_set),
-                    "fully_degenerate": e.fully_degenerate,
-                }
-                for e in prefixes.per_prefix
-            ],
+            "prefixes": [{"prefix": prefix, "products": list(products), "product_set": distinct,
+                          "fully_degenerate": degenerate}
+                         for prefix, products, distinct, degenerate in prefixes],
         },
     }
 

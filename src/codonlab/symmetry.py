@@ -8,6 +8,7 @@ symbol and once with stop-producing codons excluded.
 
 import itertools
 from functools import lru_cache
+from operator import eq, itemgetter
 
 from .combinatorics import RNA_ALPHABET, MultisetClass, canonicalize
 from .errors import as_int
@@ -85,51 +86,52 @@ def codon_partition() -> tuple[tuple[MultisetClass, tuple[str, ...]], ...]:
 
 
 @lru_cache(maxsize=1)
-def _index_partition() -> tuple[tuple[int, ...], ...]:
-    """codon_partition() as codon indices, to read products straight from `aas`."""
-    return tuple(tuple(map(codon_index, codons)) for _, codons in codon_partition())
+def _plan():
+    """How a code's `aas` is read, built on first use: a getter of the 64 products in class
+    order and each class's slice of them, a getter of each side of the 96 same-class codon
+    pairs, and a getter of each codon's class representative (its first, lowest-index member)."""
+    members = [tuple(map(codon_index, codons)) for _, codons in codon_partition()]
+    ends = tuple(itertools.accumulate(map(len, members)))
+    pairs = [pair for group in members for pair in itertools.combinations(group, 2)]
+    first = {i: group[0] for group in members for i in group}
+    return (itemgetter(*itertools.chain(*members)), tuple(map(slice, (0,) + ends, ends)),
+            *(itemgetter(*side) for side in zip(*pairs)), itemgetter(*map(first.get, range(64))))
 
 
-def _coherence(groups):
-    """Coherence over classes given as product tuples, as one rule for both conventions.
-
-    Returns the per-class coherent flags, their count, whether the classes map
-    one-to-one (each has exactly one product and no two share it), and the
-    total and differing same-class pairs.
-    """
-    flags = tuple(len(set(g)) <= 1 for g in groups)
-    count = sum(flags)
-    # with every class coherent, |all products| == |classes| iff none is empty and none shared
-    one_to_one = count == len(groups) == len(set().union(*groups))
-    total = sum(len(g) * (len(g) - 1) // 2 for g in groups)
-    differing = sum(a != b for g in groups for a, b in itertools.combinations(g, 2))
-    return flags, count, one_to_one, total, differing
+def _coherence(aas: str):
+    """Per class, its products (a string, members in index order) and two coherent flags, then a
+    SymmetryReport's eight counts in field order, by one rule for both stop conventions. Sense
+    pairs are the equal pairs once each side spells a stop as a digit of its own; their total
+    follows by inclusion-exclusion from the pairs with a stop on either side."""
+    in_order, spans, left, right, _ = _plan()
+    grouped = "".join(in_order(aas))
+    classes = []
+    for span in spans:
+        products = grouped[span]
+        symbols = set(products)
+        distinct = len(symbols)
+        classes.append((products, distinct <= 1, distinct - (STOP in symbols) <= 1))
+    count, count_excl = sum(c for _, c, _ in classes), sum(cx for _, _, cx in classes)
+    left, right = "".join(left(aas)), "".join(right(aas))
+    equal = sum(map(eq, left, right))
+    sense_equal = sum(map(eq, left.replace(STOP, "0"), right.replace(STOP, "1")))
+    sense = len(left) - left.count(STOP) - right.count(STOP) + equal - sense_equal
+    symbols = set(aas)  # with every class coherent, as many as classes iff none is empty or shared
+    return classes, (count, count_excl, count == len(spans) == len(symbols),
+                     count_excl == len(spans) == len(symbols - {STOP}),
+                     len(left), len(left) - equal, sense, sense - sense_equal)
 
 
 def partition_classes(code: GeneticCode) -> SymmetryReport:
     """Group the 64 codons by base content and measure the code's coherence."""
-    aas = code.aas
-    products = [tuple(aas[i] for i in members) for members in _index_partition()]
-    coherent, count, bijective, pairs, violating = _coherence(products)
-    coherent_excl, count_excl, bijective_excl, pairs_excl, violating_excl = _coherence(
-        [tuple(p for p in g if p != STOP) for g in products]
-    )
-    per_class = tuple(
-        ClassReport(cls, codons, p, c, cx)
-        for (cls, codons), p, c, cx in zip(codon_partition(), products, coherent, coherent_excl)
-    )
-    return SymmetryReport(per_class, count, count_excl, bijective, bijective_excl,
-                          pairs, violating, pairs_excl, violating_excl)
+    classes, counts = _coherence(code.aas)
+    per_class = tuple(ClassReport(cls, codons, tuple(products), c, cx)
+                      for (cls, codons), (products, c, cx) in zip(codon_partition(), classes))
+    return SymmetryReport(per_class, *counts)
 
 
 def multiset_invariance_violation(code: GeneticCode) -> SymmetryReport:
-    """Count unordered same-class codon pairs whose products differ.
-
-    Zero violations (in the stop-as-symbol convention) holds exactly when
-    every class is coherent, i.e. the code only depends on base content.
-    This is the partition_classes report: its pair counts and fraction
-    properties are the violation metrics.
-    """
+    """The partition_classes report: no pair differs, stop a symbol, iff every class is coherent."""
     return partition_classes(code)
 
 
@@ -140,14 +142,22 @@ PREFIXES = tuple(b1 + b2 for b1 in INDEX_BASE_ORDER for b2 in INDEX_BASE_ORDER)
 FULL_DEGENERACY_AMINO_CEILING = 16
 
 
+def _prefix_degeneracy(aas: str):
+    """Per two-base prefix: its products (a string), their sorted distinct symbols (a list)
+    and whether there is one; then how many prefixes have one."""
+    rows = []
+    for i, prefix in enumerate(PREFIXES):
+        products = aas[4 * i : 4 * i + 4]  # the prefix's codons are consecutive
+        distinct = sorted(set(products))
+        rows.append((prefix, products, distinct, len(distinct) == 1))
+    return rows, sum(row[3] for row in rows)
+
+
 def prefix_significance(code: GeneticCode) -> PrefixReport:
     """Product sets per two-base prefix over the four third-base completions."""
-    entries = []
-    for i, prefix in enumerate(PREFIXES):
-        products = tuple(code.aas[4 * i : 4 * i + 4])  # the prefix's codons are consecutive
-        distinct = tuple(sorted(set(products)))
-        entries.append(PrefixEntry(prefix, products, distinct, len(distinct) == 1))
-    return PrefixReport(tuple(entries), sum(e.fully_degenerate for e in entries))
+    rows, count = _prefix_degeneracy(code.aas)
+    return PrefixReport(tuple(PrefixEntry(prefix, tuple(products), tuple(distinct), degenerate)
+                              for prefix, products, distinct, degenerate in rows), count)
 
 
 def random_code(seed: int) -> GeneticCode:
@@ -164,12 +174,9 @@ def random_code(seed: int) -> GeneticCode:
 def symmetrized_code(code: GeneticCode) -> GeneticCode:
     """Replace every codon's product with its class representative's product.
 
-    The representative is the member with the lowest codon index (the first,
-    as members are in index order), so the result depends only on base
-    content and has zero violations by construction.
+    The representative is the member with the lowest codon index, so the result
+    depends only on base content and has zero violations by construction.
     """
-    aas = [None] * 64
-    for members in _index_partition():
-        for i in members:
-            aas[i] = code.aas[members[0]]
-    return GeneticCode(name=f"{code.name}-symmetrized", id=None, aas="".join(aas))
+    *_, representative = _plan()
+    aas = "".join(representative(code.aas))
+    return GeneticCode(name=f"{code.name}-symmetrized", id=None, aas=aas)

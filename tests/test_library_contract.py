@@ -6,12 +6,14 @@ to its exit status and a message that names the argument.
 """
 
 import re
+import sys
 
 import pytest
 
 import codonlab
 from codonlab import CapacityExceededError, InvalidParamsError
 from codonlab.genetic_code import STANDARD_TABLE_TEXT
+from codonlab.reports import build_analyze_report, render
 
 # each call is evaluated over codonlab's public names, so its text is the test's id
 NAMES = {name: getattr(codonlab, name) for name in codonlab.__all__}
@@ -36,6 +38,8 @@ NAMES.update(HUGE=10**4300, TABLE_BYTES=STANDARD_TABLE_TEXT.encode())  # HUGE: 4
     ("random_code(1.5)", InvalidParamsError, "seed must be an integer, got 1.5"),
     ("random_code('x')", InvalidParamsError, "seed must be an integer, got 'x'"),
     ("random_code(True)", InvalidParamsError, "seed must be an integer, got True"),
+    ("GeneticCode('x', HUGE, 'A' * 64)", InvalidParamsError, "id must have at most"),
+    ("GeneticCode('x', -HUGE, 'A' * 64)", InvalidParamsError, "id must have at most"),
 ])
 def test_a_bad_argument_is_refused_by_the_function_that_owns_it(call, error, message):
     with pytest.raises(error, match="^" + re.escape(message)):
@@ -48,3 +52,26 @@ def test_the_refusals_keep_the_valid_calls():
     assert builtin_code("standard") is codonlab.builtin_standard_code()
     assert builtin_code("standard").translate("atg") == "M"
     assert codonlab.canonicalize("GAU", alphabet=["U", "G", "A"]).canonical_word == "UGA"
+
+
+def assert_ids_refused_past(limit):
+    for id in (10**limit, -(10**limit)):
+        with pytest.raises(InvalidParamsError, match=f"^id must have at most {limit} digits$"):
+            codonlab.GeneticCode(name="x", id=id, aas="A" * 64)
+    for id in (10**limit - 1, 1 - 10**limit, 2**2000, -(2**2001)):
+        code = codonlab.GeneticCode(name="x", id=id, aas="A" * 64)
+        assert codonlab.parse_table(codonlab.serialize_table(code)) == code
+        for fmt in ("text", "json"):
+            assert str(id) in render(build_analyze_report(code, "library"), fmt)
+
+
+def test_an_id_is_refused_past_the_digit_limit_and_printed_within_it():
+    # refused where str() would refuse to print it: at the digit limit of counts
+    assert_ids_refused_past(min(4300, getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300))
+    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.11+: a lowered limit is the limit
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert_ids_refused_past(640)
+        finally:
+            sys.set_int_max_str_digits(old)

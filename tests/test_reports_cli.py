@@ -469,16 +469,18 @@ def test_analyze_builtin_json_matches_builder():
 
 
 def test_analyze_partitions_the_code_once(monkeypatch):
+    # the report reads the code through the coherence core that partition_classes wraps
     calls = []
-    partition = symmetry.partition_classes
+    coherence = symmetry._coherence
 
-    def counted(code):
-        calls.append(code)
-        return partition(code)
+    def counted(aas):
+        calls.append(aas)
+        return coherence(aas)
 
-    monkeypatch.setattr(symmetry, "partition_classes", counted)
-    build_analyze_report(builtin_standard_code(), "builtin:standard")
-    assert len(calls) == 1
+    monkeypatch.setattr(symmetry, "_coherence", counted)
+    code = builtin_standard_code()
+    build_analyze_report(code, "builtin:standard")
+    assert calls == [code.aas]
 
 
 def test_analyze_requires_exactly_one_source(tmp_path):
@@ -511,6 +513,33 @@ def test_table_and_config_files_may_start_with_a_byte_order_mark(tmp_path):
         runs.append(run_cli("analyze", "--table", str(table), "--config", str(config)))
     assert runs[0][0] == 0 and json.loads(runs[0][1])["code"]["name"] == "Vertebrate Mitochondrial"
     assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("option, what, text, fill", [
+    ("--table", "table", STANDARD_TABLE_TEXT, "\n"),
+    ("--config", "config", '{"format": "csv"}', " "),
+])
+def test_a_table_or_config_file_past_the_cap_is_refused(tmp_path, option, what, text, fill):
+    # one read takes the cap and one character more, so an endless file is refused as this one
+    cap = cli._MAX_FILE_CHARS
+    path = tmp_path / "input"
+    argv = ("analyze", option, str(path)) if what == "table" else (
+        "analyze", "--builtin", "standard", option, str(path))
+    path.write_text(text + fill * (cap - len(text)))  # exactly the cap: read whole
+    code, out, _ = run_cli(*argv)
+    assert code == 0 and out.startswith("Genetic code:" if what == "table" else "word,size,")
+    path.write_text(text + fill * (cap + 1 - len(text)))
+    assert run_cli(*argv) == (2, "", f"error: cannot read {what} file: longer than {cap}"
+                                     " characters\n")
+
+
+def test_a_config_file_nested_past_the_recursion_limit_is_refused(tmp_path):
+    config = tmp_path / "deep.json"
+    config.write_text("[" * 100_000)
+    code, out, err = run_cli("count", "--k", "2", "--r", "2", "--config", str(config))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read config file: maximum recursion depth exceeded")
+    assert err.count("\n") == 1
 
 
 def test_analyze_malformed_table_emits_nothing(tmp_path):

@@ -9,7 +9,7 @@ import itertools
 from collections import Counter, defaultdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codonlab import (
@@ -26,6 +26,7 @@ from codonlab import (
     symmetrized_code,
 )
 from codonlab.genetic_code import PRODUCT_SYMBOLS
+from codonlab.reports import build_analyze_report
 from codonlab.symmetry import FULL_DEGENERACY_AMINO_CEILING, PREFIXES
 
 
@@ -294,6 +295,78 @@ def codes(draw):
 @settings(max_examples=200, deadline=None)
 def test_report_matches_oracle_on_drawn_codes(code):
     assert_matches_oracle(code)
+
+
+def analyze_report_from_records(code, source):
+    """The analyze report assembled from the library's records, each turned into a dict."""
+    sym = partition_classes(code)
+    prefixes = prefix_significance(code)
+    profile = Counter(len(r.codons) for r in sym.per_class)
+    return {
+        "command": "analyze",
+        "source": source,
+        "code": {
+            "name": code.name,
+            "id": code.id,
+            "sense_codon_count": 64 - code.aas.count(STOP),
+            "stop_codon_count": code.aas.count(STOP),
+            "amino_acid_count": len(code.amino_acid_image),
+        },
+        "symmetry": {
+            "class_count": len(sym.per_class),
+            "size_profile": {str(size): profile[size] for size in sorted(profile)},
+            "coherent_count": sym.coherent_count,
+            "coherent_count_excluding_stop": sym.coherent_count_excluding_stop,
+            "bijective_20_to_20": sym.bijective_20_to_20,
+            "bijective_20_to_20_excluding_stop": sym.bijective_20_to_20_excluding_stop,
+            "classes": [
+                {
+                    "word": r.multiset.canonical_word,
+                    "size": len(r.codons),
+                    "codons": list(r.codons),
+                    "products": list(r.products),
+                    "coherent": r.coherent,
+                    "coherent_excluding_stop": r.coherent_excluding_stop,
+                }
+                for r in sym.per_class
+            ],
+        },
+        "violations": {
+            "pairs_total": sym.pairs_total,
+            "pairs_violating": sym.pairs_violating,
+            "fraction": float(f"{sym.fraction:.12g}"),
+            "pairs_total_excluding_stop": sym.pairs_total_excluding_stop,
+            "pairs_violating_excluding_stop": sym.pairs_violating_excluding_stop,
+            "fraction_excluding_stop": float(f"{sym.fraction_excluding_stop:.12g}"),
+        },
+        "prefix": {
+            "fully_degenerate_prefix_count": prefixes.fully_degenerate_prefix_count,
+            "full_degeneracy_amino_ceiling": FULL_DEGENERACY_AMINO_CEILING,
+            "prefixes": [
+                {
+                    "prefix": e.prefix,
+                    "products": list(e.products),
+                    "product_set": list(e.product_set),
+                    "fully_degenerate": e.fully_degenerate,
+                }
+                for e in prefixes.per_prefix
+            ],
+        },
+    }
+
+
+@given(codes())
+@example(builtin_standard_code())
+@example(GeneticCode(name="stops", id=None, aas=STOP * 64))
+@example(GeneticCode(name="one symbol", id=7, aas="W" * 64))
+@example(symmetrized_code(random_code(3)))
+@settings(max_examples=200, deadline=None)
+def test_analyze_report_matches_the_records_on_drawn_codes(code):
+    # the report reads the code in one pass, with no record; it must equal the report made
+    # from the records, which the pair-by-pair oracle checks first, down to types and key order
+    assert_matches_oracle(code)
+    expected = analyze_report_from_records(code, "drawn")
+    assert repr(build_analyze_report(code, "drawn")) == repr(expected)
 
 
 def test_zero_violation_iff_all_classes_coherent():
