@@ -20,16 +20,33 @@ import sys
 
 import codonlab  # the package, whose public names load their module on first use
 
+from . import reports
 from .errors import CodonLabError, InvalidParamsError
 
 REQUIRED = object()  # the default of an option that a run cannot do without
 _MAX_FILE_CHARS = 1 << 20  # a --table or --config file's cap: a table is 7 lines, a config a few
 
 
-# command -> (help, options): options() is {option: (kind, default, help)}, called only when the
-# command runs, so only then are the modules its defaults name loaded. A kind is int, float, str,
-# bool (a flag that sets True) or the tuple of the strings allowed; a default is a value, None or
-# REQUIRED. A command of several modes has None for options; each mode is a command of its own.
+def _analyze(o) -> dict:
+    """The analyze report of the one code named by --builtin, --table or --random-seed."""
+    name, path, seed = o["builtin"], o["table"], o["random_seed"]
+    if [name, path, seed].count(None) != 2:  # checked before any file is read
+        raise InvalidParamsError("analyze requires exactly one of --builtin, --table,"
+                                 " --random-seed")
+    if name is not None:
+        code, source = codonlab.builtin_code(name), f"builtin:{name}"
+    elif path is not None:
+        code, source = codonlab.parse_table(_read(path, "table")), f"table:{path}"
+    else:
+        code, source = codonlab.random_code(seed), f"random-seed:{seed}"
+    return reports.build_analyze_report(code, source)
+
+
+# command -> (help, options, build): options() is {option: (kind, default, help)}, called only
+# when the command runs, so only then are the modules its defaults name loaded; build(o) makes the
+# report from the resolved options o. A kind is int, float, str, bool (a flag that sets True) or
+# the tuple of the strings allowed; a default is a value, None or REQUIRED. A command of several
+# modes has None for options and build; each mode is a command of its own.
 COMMANDS = {
     "count": ("count and enumerate word content classes", lambda: {
         "k": (int, REQUIRED, "alphabet size"),
@@ -37,33 +54,35 @@ COMMANDS = {
         "alphabet": (str, None, "k distinct letters to enumerate over (default A, B, C, ...)"),
         "cap": (int, codonlab.DEFAULT_CLASS_CAP, "class enumeration cap"),
         "skip_classes": (bool, False, "emit the two counts only, without enumerating classes"),
-    }),
+    }, lambda o: reports.build_count_report(o["k"], o["r"], alphabet=o["alphabet"], cap=o["cap"],
+                                            include_classes=not o["skip_classes"])),
     "analyze": ("partition a genetic code and measure coherence", lambda: {
         "builtin": (str, None,
                     f"built-in table name ({', '.join(sorted(codonlab.BUILTIN_TABLE_TEXTS))})"),
         "table": (str, None, "translation-table file"),
         "random_seed": (int, None, "analyze a seeded synthetic random code instead of a table"),
-    }),
-    "grover": ("query-count relations and search simulation", None),
+    }, _analyze),
+    "grover": ("query-count relations and search simulation", None, None),
     "grover solve-n": ("database size reachable with q queries", lambda: {
         "q": (int, REQUIRED, "query count"),
-    }),
+    }, lambda o: reports.build_grover_solve_n_report(o["q"])),
     "grover solve-q": ("query count needed for database size n", lambda: {
         "n": (float, REQUIRED, "database size (real, >= 1)"),
-    }),
+    }, lambda o: reports.build_grover_solve_q_report(o["n"])),
     "grover simulate": ("exact two-amplitude simulation of the search", lambda: {
         "n": (int, REQUIRED, "database size (integer, >= 2)"),
         "q": (int, REQUIRED, "iterations to apply"),
         "marked": (int, 0, "marked index"),
         "cap": (int, codonlab.DEFAULT_SIM_CAP, "simulation cap on both n and q"),
-    }),
+    }, lambda o: reports.build_grover_simulate_report(o["n"], o["q"], o["marked"], cap=o["cap"])),
     "energy": ("uncertainty momentum/energy estimates (CGS)", lambda: {
         "hbar": (float, codonlab.PhysicalParams.hbar, "erg*s"),
         "delta_x": (float, codonlab.PhysicalParams.delta_x, "cm"),
         "mass": (float, codonlab.PhysicalParams.mass, "g"),
         "hbond": (float, codonlab.PhysicalParams.hbond_energy, "hydrogen-bond energy, erg"),
         "scale": (float, 3.0, "length-scale factor to compare against"),  # a codon is 3 bases
-    }),
+    }, lambda o: reports.build_energy_report(
+        codonlab.PhysicalParams(o["hbar"], o["delta_x"], o["mass"], o["hbond"]), o["scale"])),
 }
 # the options every command takes after its own, each with a one-letter flag too
 _COMMON = {
@@ -109,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     version = f"%(prog)s {codonlab.__version__}"
     parser.add_argument("--version", action="version", version=version)
     subparsers = {"": parser.add_subparsers(dest="command", required=True)}
-    for command, (summary, options) in COMMANDS.items():
+    for command, (summary, options, _) in COMMANDS.items():
         group, _, name = command.rpartition(" ")
         p = subparsers[group].add_parser(name, help=summary)
         if options is None:
@@ -192,37 +211,6 @@ def _convert(value, kind, name):
         raise InvalidParamsError(f"{name} must be {noun}, got {value!r}") from None
 
 
-def _report(command, options) -> dict:
-    """Build `command`'s report from its resolved options."""
-    from . import reports
-    if command == "count":
-        return reports.build_count_report(options["k"], options["r"], alphabet=options["alphabet"],
-                                          cap=options["cap"],
-                                          include_classes=not options["skip_classes"])
-    if command == "analyze":
-        name, path, seed = options["builtin"], options["table"], options["random_seed"]
-        if [name, path, seed].count(None) != 2:
-            raise InvalidParamsError("analyze requires exactly one of --builtin, --table,"
-                                     " --random-seed")
-        if name is not None:
-            code, source = codonlab.builtin_code(name), f"builtin:{name}"
-        elif path is not None:
-            code, source = codonlab.parse_table(_read(path, "table")), f"table:{path}"
-        else:
-            code, source = codonlab.random_code(seed), f"random-seed:{seed}"
-        return reports.build_analyze_report(code, source)
-    if command == "grover solve-n":
-        return reports.build_grover_solve_n_report(options["q"])
-    if command == "grover solve-q":
-        return reports.build_grover_solve_q_report(options["n"])
-    if command == "grover simulate":
-        return reports.build_grover_simulate_report(options["n"], options["q"], options["marked"],
-                                                    cap=options["cap"])
-    params = codonlab.PhysicalParams(options["hbar"], options["delta_x"], options["mass"],
-                                     options["hbond"])
-    return reports.build_energy_report(params, options["scale"])
-
-
 def _write(chunks, output) -> None:
     """Stream the report's chunks to stdout or to the `output` file.
 
@@ -240,7 +228,7 @@ def _write(chunks, output) -> None:
             sys.stdout.flush()
         except (OSError, UnicodeEncodeError) as exc:  # `| head`, or no letter in its encoding
             if sys.stdout is not None:  # point it at nothing, so the last flush cannot fail again
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                _silence(sys.stdout)
             raise InvalidParamsError(f"cannot write the report to stdout: {exc}") from exc
         return
     try:
@@ -270,18 +258,23 @@ def _write(chunks, output) -> None:
         raise
 
 
+def _silence(stream) -> None:  # point a failed stream at the null device, and close the copy
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, stream.fileno())
+    os.close(null)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         command = " ".join(filter(None, (args.command, getattr(args, "mode", None))))
         options = _options(args, command)
-        report = _report(command, options)
-        from . import reports
+        report = COMMANDS[command][2](options)
         _write(reports.emit(report, fmt=options["format"]), options["output"])
     except CodonLabError as exc:
         try:
             print(f"error: {exc}", file=sys.stderr)
         except OSError:  # a closed stderr: point it at nothing, as _write does stdout
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+            _silence(sys.stderr)
         return exc.exit_code
     return 0

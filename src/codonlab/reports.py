@@ -87,26 +87,28 @@ def _json_skeleton(node):
     return "\0"
 
 
-# (command, mode, key, value count, top-level keys) -> a layout, from the first report of that
-# shape emitted: a fixed report of its own would, for analyze, parse a table no caller asked for
+# (command, mode, key, every object's keys and list of objects' length) -> a layout, from the
+# first report of that shape emitted: a fixed report would, for analyze, parse an unasked table
 _json_layouts = {}
 
 
 def _json(report, key=None, items=()):
     """The report as json.dumps(report, indent=2) + "\\n" spells it, from its shape's layout.
 
-    With `key`, the report is a head, closed by the field `key`: a list of `items`, each
+    With `key`, the field `key` is left out of the head and closes it as a list of `items`, each
     preformatted as json.dumps spells it. Every builder keeps one shape rule: keys, their order
     and the length of every list of objects do not depend on the inputs, so the first report's
-    layout, with a `{}` slot for each value, serves every report of its command; a report whose
-    caller added or removed a key differs in its keys or its number of values, and gets its own.
-    Values are spelled as json.dumps spells them (a report's floats are finite); a list of
-    strings holds codons or product symbols, which need no escaping.
+    layout, with a `{}` slot for each value, serves every report of its command. A layout is
+    keyed by those keys and lengths, so a report whose caller added, removed or renamed a key at
+    any depth gets its own. Values are spelled as json.dumps spells them (a report's floats are
+    finite); a list of strings holds codons or product symbols, which need no escaping.
     """
     from json.encoder import encode_basestring_ascii  # how json.dumps escapes a string
-    values = []
+    report = {name: value for name, value in report.items() if name != key} if key else report
+    values, keys = [], []
 
     def add(node):  # in json.dumps order; the builder makes every dict and list exactly that
+        keys.append(tuple(node) if type(node) is dict else len(node))
         for value in node.values() if type(node) is dict else node:
             kind = type(value)
             if kind is dict or kind is list and value and type(value[0]) is dict:
@@ -122,7 +124,7 @@ def _json(report, key=None, items=()):
                 values.append(repr(value))
 
     add(report)
-    shape = (report["command"], report.get("mode"), key, len(values), tuple(report))
+    shape = (report["command"], report.get("mode"), key, tuple(keys))
     if shape not in _json_layouts:
         import json
         text = json.dumps(_json_skeleton(report), indent=2)
@@ -187,12 +189,11 @@ def _count_json(report):
     """The count report as JSON, a class to a line; escaping each letter escapes every word."""
     from json.encoder import encode_basestring_ascii
     classes = report["classes"]
-    head = {key: value for key, value in report.items() if key != "classes"}
-    head["partition_identity_holds"] = classes.survey()[0] == report["arrangements"]
     letters = [encode_basestring_ascii(letter)[1:-1] for letter in classes.alphabet]
     rows = (f'{{"word": "{word}", "counts": [{counts}], "size": {size}}}'
             for word, counts, size in classes.rows(letters, ", "))
-    return _json(head, "classes", rows)
+    identity = classes.survey()[0] == report["arrangements"]
+    return _json({**report, "partition_identity_holds": identity}, "classes", rows)
 
 
 def _count_csv(report):
@@ -378,12 +379,6 @@ def _simulate_csv(report):
     return itertools.chain(["iteration,marked_probability"], map(row, range(len(trace)), trace))
 
 
-def _simulate_json(report):
-    """A simulate report as JSON, its trace spelled as json.dumps spells finite floats."""
-    head = {key: value for key, value in report.items() if key != "trace"}
-    return _json(head, "trace", map(float.__repr__, report["trace"]))
-
-
 # --- energy ---------------------------------------------------------------
 
 _ENERGY_TEXT = (
@@ -444,7 +439,8 @@ _LAYOUTS = {
     "analyze": (_analyze_text, _analyze_csv, _json),
     "grover solve-n": (_SOLVE_N_TEXT, "q,n_solved\n{q},{n_solved}", _json),
     "grover solve-q": (_SOLVE_Q_TEXT, "n,q_solved,q_rounded\n{n},{q_solved},{q_rounded}", _json),
-    "grover simulate": (_simulate_text, _simulate_csv, _simulate_json),
+    "grover simulate": (_simulate_text, _simulate_csv, lambda report: _json(
+        report, "trace", map(float.__repr__, report["trace"]))),  # as json.dumps spells floats
     "energy": (_ENERGY_TEXT, _ENERGY_CSV, _json),
 }
 
@@ -453,20 +449,21 @@ def emit(report: dict, fmt: str = "text"):
     """A built report in one of the three formats, as an iterator of text chunks.
 
     Only here is a report's shape (command, mode, a count's classes) read, to pick
-    its layouts. The format is checked, and a count's classes surveyed, before
-    the iterator is returned, so a failure leaves nothing half emitted.
+    its layouts. The format and each field the layout names are checked, and a count's classes
+    surveyed, before the iterator is returned, so a failure leaves nothing half emitted.
     """
     command = " ".join(filter(None, (report["command"], report.get("mode"))))
     if command == "count" and "classes" not in report:
         command += " --skip-classes"
-    text_layout, csv_layout, json_emitter = _LAYOUTS[command]
-    if fmt == "json":
-        return json_emitter(report)
-    if fmt not in ("text", "csv"):
+    formats = ("text", "csv", "json")  # the order of a _LAYOUTS row
+    if fmt not in formats:
         raise InvalidParamsError(f"format must be text, json or csv, got {fmt!r}")
-    layout = text_layout if fmt == "text" else csv_layout
-    lines = layout(report) if callable(layout) else [layout.format_map(_fields(report))]
-    return itertools.chain(_chunked(lines), ["\n"])
+    layout = _LAYOUTS[command][formats.index(fmt)]
+    try:
+        lines = layout(report) if callable(layout) else [layout.format_map(_fields(report))]
+    except KeyError as exc:
+        raise InvalidParamsError(f"{command} report has no field {exc.args[0]!r}") from None
+    return lines if fmt == "json" else itertools.chain(_chunked(lines), ["\n"])
 
 
 def render(report: dict, fmt: str = "text") -> str:

@@ -1,10 +1,11 @@
 """The library contract: a public function refuses a bad argument with a CodonLabError.
 
-Each case below once escaped as a bare ValueError, TypeError or AttributeError, or was
-accepted. The function that owns the argument refuses it, with the error class the CLI maps
+Each case below once escaped as a bare ValueError, TypeError, AttributeError or KeyError, or
+was accepted. The function that owns the argument refuses it, with the error class the CLI maps
 to its exit status and a message that names the argument.
 """
 
+import json
 import re
 import sys
 
@@ -13,11 +14,18 @@ import pytest
 import codonlab
 from codonlab import CapacityExceededError, InvalidParamsError
 from codonlab.genetic_code import STANDARD_TABLE_TEXT
-from codonlab.reports import build_analyze_report, render
+from codonlab.reports import (build_analyze_report, build_energy_report,
+                              build_grover_simulate_report, build_grover_solve_n_report, emit,
+                              render)
 
 # each call is evaluated over codonlab's public names, so its text is the test's id
 NAMES = {name: getattr(codonlab, name) for name in codonlab.__all__}
 NAMES.update(HUGE=10**4300, TABLE_BYTES=STANDARD_TABLE_TEXT.encode())  # HUGE: 4,301 digits
+# reports, each without a field that its text and CSV layouts name
+NAMES.update(emit=emit, SOLVE_N=build_grover_solve_n_report(3),
+             ENERGY=build_energy_report(codonlab.PhysicalParams(), 3.0),
+             SIMULATE=build_grover_simulate_report(20, 3, 0))
+del NAMES["SOLVE_N"]["q"], NAMES["ENERGY"]["params"]["hbar"], NAMES["SIMULATE"]["trace"]
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -40,6 +48,14 @@ NAMES.update(HUGE=10**4300, TABLE_BYTES=STANDARD_TABLE_TEXT.encode())  # HUGE: 4
     ("random_code(True)", InvalidParamsError, "seed must be an integer, got True"),
     ("GeneticCode('x', HUGE, 'A' * 64)", InvalidParamsError, "id must have at most"),
     ("GeneticCode('x', -HUGE, 'A' * 64)", InvalidParamsError, "id must have at most"),
+    # refused when emit() is called, before any chunk is returned
+    ("emit(SOLVE_N, 'text')", InvalidParamsError, "grover solve-n report has no field 'q'"),
+    ("emit(SOLVE_N, 'csv')", InvalidParamsError, "grover solve-n report has no field 'q'"),
+    ("emit(ENERGY, 'text')", InvalidParamsError, "energy report has no field 'hbar'"),
+    ("emit(ENERGY, 'csv')", InvalidParamsError, "energy report has no field 'hbar'"),
+    ("emit(SIMULATE, 'text')", InvalidParamsError, "grover simulate report has no field 'trace'"),
+    ("emit(SIMULATE, 'csv')", InvalidParamsError, "grover simulate report has no field 'trace'"),
+    ("emit(SIMULATE, 'json')", InvalidParamsError, "grover simulate report has no field 'trace'"),
 ])
 def test_a_bad_argument_is_refused_by_the_function_that_owns_it(call, error, message):
     with pytest.raises(error, match="^" + re.escape(message)):
@@ -52,6 +68,7 @@ def test_the_refusals_keep_the_valid_calls():
     assert builtin_code("standard") is codonlab.builtin_standard_code()
     assert builtin_code("standard").translate("atg") == "M"
     assert codonlab.canonicalize("GAU", alphabet=["U", "G", "A"]).canonical_word == "UGA"
+    assert json.loads(render(NAMES["SOLVE_N"], "json")) == NAMES["SOLVE_N"]  # JSON names no field
 
 
 def assert_ids_refused_past(limit):

@@ -752,7 +752,7 @@ def test_every_json_report_matches_json_dumps(case):
 
 
 def test_json_of_a_report_with_a_key_added_or_removed():
-    # a layout serves only reports of its own keys and number of values
+    # a layout serves only reports of its own keys, at every depth
     def dumped(report):
         return json.dumps(report, indent=2) + "\n"
 
@@ -767,8 +767,10 @@ def test_json_of_a_report_with_a_key_added_or_removed():
     nested_added["params"]["extra"] = 1.5
     del nested_removed["scale"]["factor"]
     nested_tagged["params"]["tags"] = nested_tagged["scale"]["tags"] = []  # each [] has a slot
-    for report in (added, removed, tagged, nested_added, nested_removed, nested_tagged, solve_n,
-                   energy):
+    nested_renamed = json.loads(dumped(energy))  # the same values, one key fewer and one more
+    nested_renamed["params"]["h"] = nested_renamed["params"].pop("hbar")
+    for report in (added, removed, tagged, nested_added, nested_removed, nested_tagged,
+                   nested_renamed, solve_n, energy):
         assert render(report, "json") == dumped(report)
 
 
@@ -908,7 +910,7 @@ def test_non_numeric_config_values_exit_2(tmp_path, argv, config):
 
 # every int and float option of every command, as (command words, option, kind)
 NUMERIC_OPTIONS = [(command.split(), name, kind)
-                   for command, (_, options) in cli.COMMANDS.items() if options is not None
+                   for command, (_, options, _) in cli.COMMANDS.items() if options is not None
                    for name, (kind, *_) in options().items() if kind in (int, float)]
 
 
@@ -1140,7 +1142,7 @@ def test_round_sig_pins_emission_precision():
 
 def test_one_layout_row_per_command_as_the_cli_names_it():
     from codonlab.cli import COMMANDS
-    leaves = {command for command, (_, options) in COMMANDS.items() if options is not None}
+    leaves = {command for command, (_, options, _) in COMMANDS.items() if options is not None}
     assert set(reports._LAYOUTS) == leaves | {"count --skip-classes"}
 
 
@@ -1315,6 +1317,36 @@ def test_refusal_keeps_its_exit_code_when_stderr_is_closed(argv, stdout_too, exp
     finally:
         os.close(write)
     assert result.returncode == expected
+
+
+SILENCED_STREAMS = """
+import os
+from codonlab import cli
+
+report_to = os.dup(1)
+counts = []
+for _ in range(4):
+    for fd in (1, 2):  # a pipe whose reader is gone: every write to it fails
+        read, write = os.pipe()
+        os.close(read)
+        os.dup2(write, fd)
+        os.close(write)
+    status = cli.main(["grover", "solve-n", "--q", "3"])
+    counts.append(len(os.listdir("/proc/self/fd")))
+os.write(report_to, f"{status} {counts}".encode())
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to count")
+def test_a_failed_stream_is_silenced_without_leaking_a_descriptor():
+    # each in-process run fails on stdout, then on stderr, and points both at the null device
+    result = subprocess.run([sys.executable, "-c", SILENCED_STREAMS], capture_output=True,
+                            timeout=60)
+    assert result.returncode == 0
+    status, counts = result.stdout.decode().split(" ", 1)
+    assert status == "2"
+    counts = json.loads(counts)
+    assert counts == [counts[0]] * 4, counts
 
 
 def test_subprocess_exit_codes():
