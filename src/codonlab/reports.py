@@ -2,31 +2,29 @@
 
 Builders assemble plain dicts with stable key order. Each command, as the CLI
 names it (`count --skip-classes` and each grover mode are commands of their own),
-has one row of layouts, and only `emit` reads a report's shape to pick it: a text
-and a CSV layout, each a line template filled from the report's own keys or a
-function that returns the lines, and a JSON emitter. Every JSON report has the
-bytes of indented json.dumps and comes from one template per command, laid out by
-json.dumps from the command's first report, after which count and grover simulate
-stream their long list item by item. Text and CSV lines and the items of a JSON
-list all leave through one chunker, CHUNK_LINES lines at a time, so a report
-whose rows are generated on demand (the classes of a count) is never held whole;
-its identity and counts width come first, from a survey of one step per class prefix.
-A text table formats each line with one call and pads every cell but the last,
-which is never empty and never ends in whitespace. A CSV line is formatted as
-csv.writer would write it: only a count's word can hold a comma or a quote.
-Each builder imports the module it reports on, and JSON the json module, only
-when called. Floats are rounded to 12 significant digits at build time, so
-every format encodes identical values and repeated runs are byte-identical.
+has one row of _LAYOUTS, and only `emit` reads a report's shape to pick it. Every
+JSON report has the bytes of indented json.dumps (see _json). Text and CSV lines
+and the items of a JSON list all leave through one chunker, CHUNK_LINES lines at a
+time, so a report whose rows are made on demand, a count's classes or a simulate
+trace's entries, is never held whole as text. Each builder imports the module it
+reports on, and JSON the json module, only when called. Floats are rounded to 12
+significant digits, so every format encodes identical values and repeated runs are
+byte-identical: a builder rounds each scalar, and a simulate trace, a RoundedTrace,
+each entry as it is read, while the layouts spell the run's own floats once each.
 """
 
 import itertools
 from collections import Counter
 
 from .errors import InvalidParamsError, as_int
+from .record import Record
 
 SIGNIFICANT_DIGITS = 12
 CHUNK_LINES = 256  # lines per emitted chunk
 _format_float = f"{{:.{SIGNIFICANT_DIGITS}g}}".format
+# a simulate trace entry in JSON: {:.12} is repr of the rounding for 0.0 and normal floats below
+# 1e11; an entry is one, as a nonzero amplitude sums two terms of magnitude about 1/sqrt(n) or more
+_format_entry = f"{{:.{SIGNIFICANT_DIGITS}}}".format
 
 
 def round_sig(x: float) -> float:
@@ -54,7 +52,7 @@ def _chunked(lines, sep="\n"):
 def _fields(report) -> dict:
     """Every scalar field, nested ones too, by key in report order, formatted once.
 
-    Lists, a count's lazy classes, and the command and mode are left out.
+    Lists, a count's classes, a simulate trace, and the command and mode are left out.
     """
     fields = {}
     for key, value in report.items():
@@ -359,12 +357,24 @@ def build_grover_simulate_report(n: int, q: int, marked: int, *, cap: int | None
         "closed_form_probability": round_sig(closed_form),
         "difference": round_sig(abs(final - closed_form)),
         "max_norm_drift": round_sig(run.max_norm_drift),
-        "trace": list(map(float, map(_format_float, run.probability_trace))),  # round_sig each
+        "trace": RoundedTrace(run.probability_trace),
     }
 
 
+class RoundedTrace(Record):
+    """A run's probability_trace, read-only: len() does no work; iterating rounds each entry."""
+
+    probabilities: tuple[float, ...]
+
+    def __len__(self) -> int:
+        return len(self.probabilities)
+
+    def __iter__(self):
+        return map(round_sig, self.probabilities)
+
+
 def _simulate_text(report):
-    trace = report["trace"]
+    trace = getattr(report["trace"], "probabilities", report["trace"])  # or a plain list
     # the trace table as preformatted rows; as in a _table, the last column is not padded
     width = max(len("iteration"), len(str(len(trace) - 1)))
     row = f"{{:<{width}}}  {{:.{SIGNIFICANT_DIGITS}g}}".format
@@ -375,7 +385,7 @@ def _simulate_text(report):
 
 def _simulate_csv(report):
     row = f"{{}},{{:.{SIGNIFICANT_DIGITS}g}}".format
-    trace = report["trace"]
+    trace = getattr(report["trace"], "probabilities", report["trace"])
     return itertools.chain(["iteration,marked_probability"], map(row, range(len(trace)), trace))
 
 
@@ -439,8 +449,8 @@ _LAYOUTS = {
     "analyze": (_analyze_text, _analyze_csv, _json),
     "grover solve-n": (_SOLVE_N_TEXT, "q,n_solved\n{q},{n_solved}", _json),
     "grover solve-q": (_SOLVE_Q_TEXT, "n,q_solved,q_rounded\n{n},{q_solved},{q_rounded}", _json),
-    "grover simulate": (_simulate_text, _simulate_csv, lambda report: _json(
-        report, "trace", map(float.__repr__, report["trace"]))),  # as json.dumps spells floats
+    "grover simulate": (_simulate_text, _simulate_csv, lambda report: _json(report, "trace", map(
+        _format_entry, getattr(report["trace"], "probabilities", report["trace"])))),
     "energy": (_ENERGY_TEXT, _ENERGY_CSV, _json),
 }
 

@@ -24,6 +24,7 @@ from codonlab import (
     builtin_standard_code,
     canonicalize,
 )
+from codonlab.reports import RoundedTrace
 from codonlab.symmetry import PrefixEntry
 
 STANDARD_AAS = builtin_standard_code().aas
@@ -50,11 +51,12 @@ RECORDS = {
     PhysicalParams: {"hbar": 1e-27, "delta_x": 2e-8, "mass": 1e-24, "hbond_energy": 5e-14},
     ScaleComparison: {"scale_factor": 2.0, "energy_base": 4.0, "energy_scaled": 1.0,
                       "energy_ratio": 0.25, "base_to_hbond": 8.0, "scaled_to_hbond": 2.0},
+    RoundedTrace: {"probabilities": (0.25, 1.0)},
 }
 # a changed value for the first field of each record, still valid
 OTHER_FIRST = {MultisetClass: "AAG", ClassReport: canonicalize("AAG"), SymmetryReport: (AAC,),
                PrefixEntry: "GC", PrefixReport: (None,), GeneticCode: "Other", GroverRun: 5,
-               PhysicalParams: 2e-27, ScaleComparison: 3.0}
+               PhysicalParams: 2e-27, ScaleComparison: 3.0, RoundedTrace: (0.5,)}
 BY_VALUE = [cls for cls in RECORDS if cls is not GroverRun]
 
 

@@ -29,6 +29,7 @@ from codonlab import (
     class_size,
     enumerate_multisets,
     reports,
+    simulate,
     solve_n,
     symmetry,
 )
@@ -428,6 +429,15 @@ def test_count_memory_is_flat_in_class_count():
         assert long - small[fmt] < 12 * 1024, fmt
 
 
+def test_simulate_memory_holds_one_copy_of_a_long_trace():
+    # at the cap the report holds the run's 2**20 + 1 floats once: no rounded list beside them
+    for fmt in EXTENSIONS:
+        small = child_peak_rss_kb("grover", "simulate", "--n", "4", "--q", "10", "--format", fmt)
+        long = child_peak_rss_kb("grover", "simulate", "--n", "4", "--q", str(DEFAULT_SIM_CAP),
+                                 "--format", fmt)
+        assert long - small < 60 * 1024, fmt
+
+
 def test_count_missing_and_invalid_params():
     assert run_cli("count", "--k", "4")[0] == 2
     assert run_cli("count", "--k", "-1", "--r", "3")[0] == 2
@@ -690,9 +700,16 @@ def _simulations(draw):
 @settings(max_examples=60, deadline=None)
 def test_simulate_emitters_match_reference_renderings(args):
     report = build_grover_simulate_report(*args)
-    assert render(report, "json") == json.dumps(report, indent=2) + "\n"
+    listed = dict(report, trace=list(report["trace"]))  # a plain list renders the same bytes
+    assert render(report, "json") == json.dumps(listed, indent=2) + "\n"
     assert render(report, "text") == reference_simulate_text(report)
     assert render(report, "csv") == reference_simulate_csv(report)
+    for fmt in EXTENSIONS:
+        assert render(listed, fmt) == render(report, fmt), fmt
+    # the trace is a view of the run's own floats, each rounded as it is read
+    n, q, marked = args
+    assert len(report["trace"]) == q + 1
+    assert listed["trace"] == [round_sig(p) for p in simulate(n, q, marked).probability_trace]
 
 
 def _dumped(report):
@@ -718,6 +735,12 @@ def _count_json_case(letters, k, r):
     return report, text.replace("\n    0\n", f"\n    {lines}\n")
 
 
+def _simulate_json_case(args):
+    """A simulate report and its JSON: json.dumps of the report with its trace listed."""
+    report = build_grover_simulate_report(*args)
+    return report, json.dumps(dict(report, trace=list(report["trace"])), indent=2) + "\n"
+
+
 _positive = st.floats(1e-30, 1e-10)
 _JSON_CASES = st.one_of(
     st.builds(_analyze_json_case,
@@ -733,7 +756,7 @@ _JSON_CASES = st.one_of(
                                              _positive), st.floats(0.1, 10)).map(_dumped),
     st.builds(build_grover_solve_n_report, st.integers(0, 10**6)).map(_dumped),
     st.builds(build_grover_solve_q_report, st.floats(1, 1e15)).map(_dumped),
-    _simulations().map(lambda args: build_grover_simulate_report(*args)).map(_dumped),
+    _simulations().map(_simulate_json_case),
 )
 
 
@@ -1138,6 +1161,23 @@ def test_round_sig_pins_emission_precision():
     assert round_sig(1.0 / 3.0) == 0.333333333333
     assert round_sig(0.1) == 0.1
     assert round_sig(123456789.0) == 123456789.0
+
+
+@given(st.floats(sys.float_info.min, 1 + 1e-9))
+@example(0.0)
+@example(0.25)
+@example(1.0)
+@example(9.99999999999951e-05)  # rounds up to 0.0001, where the spelling leaves exponent form
+@settings(max_examples=2000)
+def test_a_trace_entry_is_spelled_as_its_rounding(x):
+    """A simulate trace's layouts spell the run's own floats: {:.12} in JSON is repr (json.dumps's
+    spelling) of the rounded value, and {:.12g} in text and CSV is the rounded value's spelling.
+
+    The range holds every trace entry, a probability that is 0.0 or a normal float. Subnormals
+    differ: 5e-324 is spelled 4.94065645841e-324.
+    """
+    assert f"{x:.12}" == repr(round_sig(x))
+    assert f"{x:.12g}" == f"{round_sig(x):.12g}"
 
 
 def test_one_layout_row_per_command_as_the_cli_names_it():
