@@ -1,16 +1,12 @@
-"""Report construction and deterministic rendering (text, JSON, CSV).
+"""Report construction and deterministic rendering (text, JSON, CSV), one _LAYOUTS row a command.
 
-Builders assemble plain dicts with stable key order. Each command, as the CLI
-names it (`count --skip-classes` and each grover mode are commands of their own),
-has one row of _LAYOUTS, and only `emit` reads a report's shape to pick it. Every
-JSON report has the bytes of indented json.dumps (see _json). Text and CSV lines
-and the items of a JSON list all leave through one chunker, CHUNK_LINES lines at a
-time, so a report whose rows are made on demand, a count's classes or a simulate
-trace's entries, is never held whole as text. Each builder imports the module it
-reports on, and JSON the json module, only when called. Floats are rounded to 12
-significant digits, so every format encodes identical values and repeated runs are
-byte-identical: a builder rounds each scalar, and a simulate trace, a RoundedTrace,
-each entry as it is read, while the layouts spell the run's own floats once each.
+Builders assemble plain dicts with stable key order; each imports the module it reports on, and
+JSON the json module, only when called. Text and CSV lines and a JSON list's items leave through
+one chunker, CHUNK_LINES at a time, so rows made on demand are never held whole as text: a
+count's classes a line each, a simulate trace's rows a block of CHUNK_LINES each (see
+_trace_blocks), so up to CHUNK_LINES**2 rows to a chunk. Floats are rounded to 12 significant
+digits, so every format encodes identical values and runs are byte-identical: a builder rounds
+each scalar, and a RoundedTrace each entry as it is read; layouts spell a run's floats once.
 """
 
 import itertools
@@ -20,11 +16,8 @@ from .errors import InvalidParamsError, as_int
 from .record import Record
 
 SIGNIFICANT_DIGITS = 12
-CHUNK_LINES = 256  # lines per emitted chunk
+CHUNK_LINES = 256  # lines per emitted chunk; a block of a simulate trace's rows is one line
 _format_float = f"{{:.{SIGNIFICANT_DIGITS}g}}".format
-# a simulate trace entry in JSON: {:.12} is repr of the rounding for 0.0 and normal floats below
-# 1e11; an entry is one, as a nonzero amplitude sums two terms of magnitude about 1/sqrt(n) or more
-_format_entry = f"{{:.{SIGNIFICANT_DIGITS}}}".format
 
 
 def round_sig(x: float) -> float:
@@ -308,12 +301,12 @@ def _analyze_csv(report) -> list:
 _QUERY_RELATION = "Query relation: (2q+1) * asin(1/sqrt(n)) = pi/2\n"
 _SOLVE_N_TEXT = _QUERY_RELATION + "  q = {q}\n  n = {n_solved}"
 _SOLVE_Q_TEXT = _QUERY_RELATION + "  n = {n}\n  q = {q_solved} (rounded: {q_rounded})"
-_SIMULATE_TEXT = (  # the trace table follows
+_SIMULATE_TEXT = (  # the trace table's rows follow its header
     "Search simulation: n = {n}, q = {q}, marked index {marked}\n"
     "  final marked probability: {final_marked_probability}\n"
     "  closed-form probability:  {closed_form_probability}\n"
     "  |difference|:             {difference}\n"
-    "  max norm drift:           {max_norm_drift}\n"
+    "  max norm drift:           {max_norm_drift}\n\n{iteration}  marked_probability"
 )
 
 
@@ -342,9 +335,7 @@ def build_grover_solve_q_report(n: float) -> dict:
 def build_grover_simulate_report(n: int, q: int, marked: int, *, cap: int | None = None) -> dict:
     """A run's final and closed-form probabilities and trace; `cap` defaults to DEFAULT_SIM_CAP."""
     from . import grover
-    if cap is None:
-        cap = grover.DEFAULT_SIM_CAP
-    run = grover.simulate(n, q, marked, cap=cap)
+    run = grover.simulate(n, q, marked, cap=grover.DEFAULT_SIM_CAP if cap is None else cap)
     closed_form = grover.success_probability(n, q)
     final = run.probability_trace[-1]
     return {
@@ -373,20 +364,28 @@ class RoundedTrace(Record):
         return map(round_sig, self.probabilities)
 
 
+def _trace_blocks(trace, row, sep="\n"):
+    """A simulate trace's rows, joined by `sep` in blocks of CHUNK_LINES rows, each block one `%`
+    template: `row` repeated, filled from the whole block with iterations and entries, or with a
+    JSON list's entries alone. %.12g is {:.12g}; inside 0 < x < 0.9999999999 it is also
+    json.dumps's repr of the 12-digit rounding, elsewhere it can drop the point, so {:.12}."""
+    trace = getattr(trace, "probabilities", trace)  # a RoundedTrace's floats, or a plain list
+    for start in range(0, len(trace), CHUNK_LINES):
+        entries = trace[start:start + CHUNK_LINES]
+        if row.count("%") == 2:
+            values = [0, 0] * len(entries)
+            values[::2], values[1::2] = range(start, start + len(entries)), entries
+            yield sep.join([row] * len(entries)) % tuple(values)
+        elif 0 < min(entries) and max(entries) < 0.9999999999:
+            yield sep.join([row] * len(entries)) % tuple(entries)
+        else:
+            yield sep.join([f"{float(x):.12}" for x in entries])
+
+
 def _simulate_text(report):
-    trace = getattr(report["trace"], "probabilities", report["trace"])  # or a plain list
-    # the trace table as preformatted rows; as in a _table, the last column is not padded
-    width = max(len("iteration"), len(str(len(trace) - 1)))
-    row = f"{{:<{width}}}  {{:.{SIGNIFICANT_DIGITS}g}}".format
-    header = f"{'iteration':<{width}}  marked_probability"
-    head = _SIMULATE_TEXT.format_map(_fields(report))
-    return itertools.chain([head, header], map(row, range(len(trace)), trace))
-
-
-def _simulate_csv(report):
-    row = f"{{}},{{:.{SIGNIFICANT_DIGITS}g}}".format
-    trace = getattr(report["trace"], "probabilities", report["trace"])
-    return itertools.chain(["iteration,marked_probability"], map(row, range(len(trace)), trace))
+    width = max(len("iteration"), len(str(len(report["trace"]) - 1)))
+    head = _SIMULATE_TEXT.format_map(dict(_fields(report), iteration="iteration".ljust(width)))
+    return itertools.chain([head], _trace_blocks(report["trace"], f"%-{width}d  %.12g"))
 
 
 # --- energy ---------------------------------------------------------------
@@ -449,8 +448,9 @@ _LAYOUTS = {
     "analyze": (_analyze_text, _analyze_csv, _json),
     "grover solve-n": (_SOLVE_N_TEXT, "q,n_solved\n{q},{n_solved}", _json),
     "grover solve-q": (_SOLVE_Q_TEXT, "n,q_solved,q_rounded\n{n},{q_solved},{q_rounded}", _json),
-    "grover simulate": (_simulate_text, _simulate_csv, lambda report: _json(report, "trace", map(
-        _format_entry, getattr(report["trace"], "probabilities", report["trace"])))),
+    "grover simulate": (_simulate_text, lambda report: itertools.chain(
+        ["iteration,marked_probability"], _trace_blocks(report["trace"], "%d,%.12g")),
+        lambda report: _json(report, "trace", _trace_blocks(report["trace"], "%.12g", ",\n    "))),
     "energy": (_ENERGY_TEXT, _ENERGY_CSV, _json),
 }
 

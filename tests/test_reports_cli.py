@@ -9,6 +9,7 @@ import csv
 import importlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -712,6 +713,41 @@ def test_simulate_emitters_match_reference_renderings(args):
     assert listed["trace"] == [round_sig(p) for p in simulate(n, q, marked).probability_trace]
 
 
+def _simulate_renderings_match_references(report, chunk):
+    """Each format, `chunk` rows to a block, equals its reference: JSON, json.dumps of the report
+    with its trace listed."""
+    listed = dict(report, trace=list(report["trace"]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reports, "CHUNK_LINES", chunk)
+        assert render(report, "text") == reference_simulate_text(report)
+        assert render(report, "csv") == reference_simulate_csv(report)
+        assert render(report, "json") == json.dumps(listed, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 256])
+@given(_simulations())
+@example((4, 1000, 0))  # an exact 1.0 in every block: JSON spells each entry on its own
+@settings(max_examples=20, deadline=None)
+def test_simulate_blocks_match_references_at_every_block_size(chunk, args):
+    _simulate_renderings_match_references(build_grover_simulate_report(*args), chunk)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 256])
+def test_a_plain_trace_mixes_template_and_per_entry_blocks(chunk):
+    trace = [round_sig(1 / (i + 2)) for i in range(600)]  # inside the JSON template's guard
+    # outside it: 0.0 in the first block of 256, 1.0 in the second, the guard's edge in a block of
+    # 3 of its own; the third block of 256 and most blocks of 3, 0.999999999899 too, are inside
+    trace[7], trace[300], trace[400], trace[403] = 0.0, 1.0, 0.9999999999, 0.999999999899
+    _simulate_renderings_match_references(dict(build_grover_simulate_report(4, 1, 0),
+                                               trace=trace), chunk)
+
+
+def test_a_plain_trace_holding_ints_renders_as_floats_in_json():
+    report = dict(build_grover_simulate_report(4, 1, 0), trace=[0, 1])
+    assert render(report, "json").endswith('"trace": [\n    0.0,\n    1.0\n  ]\n}\n')
+    assert render(report, "csv") == "iteration,marked_probability\n0,0\n1,1\n"
+
+
 def _dumped(report):
     """A report and its JSON as json.dumps spells it."""
     return report, json.dumps(report, indent=2) + "\n"
@@ -1163,21 +1199,32 @@ def test_round_sig_pins_emission_precision():
     assert round_sig(123456789.0) == 123456789.0
 
 
-@given(st.floats(sys.float_info.min, 1 + 1e-9))
+@given(st.floats(sys.float_info.min, 1 + 1e-9) | st.floats(0, sys.float_info.min))
 @example(0.0)
 @example(0.25)
 @example(1.0)
 @example(9.99999999999951e-05)  # rounds up to 0.0001, where the spelling leaves exponent form
-@settings(max_examples=2000)
+@example(0.9999999999)  # the JSON template's guard: entries below it take %.12g
+@example(math.nextafter(0.9999999999, 0))
+@example(0.99999999999951)  # rounds up to 1, which %.12g spells without the point
+@example(5e-324)
+@example(1e-05)
+@settings(max_examples=4000)  # about half draw subnormals
 def test_a_trace_entry_is_spelled_as_its_rounding(x):
     """A simulate trace's layouts spell the run's own floats: {:.12} in JSON is repr (json.dumps's
     spelling) of the rounded value, and {:.12g} in text and CSV is the rounded value's spelling.
+    The `%` templates that spell a block of rows at once give the same bytes: %.12g is {:.12g},
+    and inside the JSON template's guard, 0 < x < 0.9999999999, it is {:.12} too.
 
-    The range holds every trace entry, a probability that is 0.0 or a normal float. Subnormals
-    differ: 5e-324 is spelled 4.94065645841e-324.
+    Every trace entry is a probability that is 0.0 or a normal float. Subnormals differ from
+    their rounding's repr: 5e-324 is spelled 4.94065645841e-324, by %.12g and {:.12} alike.
     """
-    assert f"{x:.12}" == repr(round_sig(x))
+    if x == 0 or x >= sys.float_info.min:
+        assert f"{x:.12}" == repr(round_sig(x))
     assert f"{x:.12g}" == f"{round_sig(x):.12g}"
+    assert "%.12g" % x == f"{x:.12g}"
+    if 0 < x < 0.9999999999:
+        assert "%.12g" % x == f"{x:.12}"
 
 
 def test_one_layout_row_per_command_as_the_cli_names_it():
