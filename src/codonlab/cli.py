@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: count, analyze, grover (solve-n | solve-q | simulate), energy.
-Exit codes: 0 success, 2 invalid input or parse error, 3 capacity exceeded.
+Exit codes: 0 success, 2 invalid input or parse error, 3 capacity exceeded, 130 interrupted.
 
 Every option can also come from a JSON config file passed with --config;
 explicit flags always win over config values, which win over built-in
@@ -271,10 +271,11 @@ def main(argv=None) -> int:
         options = _options(args, command)
         report = COMMANDS[command][2](options)
         _write(reports.emit(report, fmt=options["format"]), options["output"])
-    except CodonLabError as exc:
+    except (CodonLabError, KeyboardInterrupt) as exc:  # Ctrl-C: one line and 128 + SIGINT
+        interrupted = isinstance(exc, KeyboardInterrupt)
         try:
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: {'interrupted' if interrupted else exc}", file=sys.stderr)
         except OSError:  # a closed stderr: point it at nothing, as _write does stdout
             _silence(sys.stderr)
-        return exc.exit_code
+        return 130 if interrupted else exc.exit_code
     return 0

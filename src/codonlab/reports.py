@@ -3,10 +3,10 @@
 Builders assemble plain dicts with stable key order; each imports the module it reports on, and
 JSON the json module, only when called. Text and CSV lines and a JSON list's items leave through
 one chunker, CHUNK_LINES at a time, so rows made on demand are never held whole as text: a
-count's classes a line each, a simulate trace's rows a block of CHUNK_LINES each (see
-_trace_blocks), so up to CHUNK_LINES**2 rows to a chunk. Floats are rounded to 12 significant
-digits, so every format encodes identical values and runs are byte-identical: a builder rounds
-each scalar, and a RoundedTrace each entry as it is read; layouts spell a run's floats once.
+count's classes a line each, a simulate trace's rows a block of CHUNK_LINES each, one template
+per format (see _trace_blocks), so up to CHUNK_LINES**2 rows to a chunk. Floats are rounded to
+12 significant digits, so every format encodes identical values and runs are byte-identical: a
+builder rounds each scalar, and a RoundedTrace each entry as it is read, or a template spells it.
 """
 
 import itertools
@@ -15,9 +15,8 @@ from collections import Counter
 from .errors import InvalidParamsError, as_int
 from .record import Record
 
-SIGNIFICANT_DIGITS = 12
 CHUNK_LINES = 256  # lines per emitted chunk; a block of a simulate trace's rows is one line
-_format_float = f"{{:.{SIGNIFICANT_DIGITS}g}}".format
+_format_float = "{:.12g}".format
 
 
 def round_sig(x: float) -> float:
@@ -95,6 +94,8 @@ def _json(report, key=None, items=()):
     finite); a list of strings holds codons or product symbols, which need no escaping.
     """
     from json.encoder import encode_basestring_ascii  # how json.dumps escapes a string
+    if key and not len(report[key]):  # an empty list is one value, [], as json.dumps spells it
+        report, key = {**report, key: []}, None
     report = {name: value for name, value in report.items() if name != key} if key else report
     values, keys = [], []
 
@@ -365,21 +366,19 @@ class RoundedTrace(Record):
 
 
 def _trace_blocks(trace, row, sep="\n"):
-    """A simulate trace's rows, joined by `sep` in blocks of CHUNK_LINES rows, each block one `%`
-    template: `row` repeated, filled from the whole block with iterations and entries, or with a
-    JSON list's entries alone. %.12g is {:.12g}; inside 0 < x < 0.9999999999 it is also
-    json.dumps's repr of the 12-digit rounding, elsewhere it can drop the point, so {:.12}."""
-    trace = getattr(trace, "probabilities", trace)  # a RoundedTrace's floats, or a plain list
-    for start in range(0, len(trace), CHUNK_LINES):
-        entries = trace[start:start + CHUNK_LINES]
-        if row.count("%") == 2:
+    """A simulate trace's rows, joined by `sep` in blocks of CHUNK_LINES rows, each block `row`
+    repeated and filled from the block: a `%` row from iterations and entries, JSON's `{:.12}`
+    (json.dumps's spelling of the 12-digit rounding) from entries; a list is read as floats."""
+    floats = trace.probabilities if isinstance(trace, RoundedTrace) else [*map(float, trace)]
+    for start in range(0, len(trace), CHUNK_LINES):  # len(): a trace that is an iterator is refused
+        entries = floats[start:start + CHUNK_LINES]
+        template = sep.join([row] * len(entries))
+        if row[0] == "{":  # JSON
+            yield template.format(*entries)
+        else:
             values = [0, 0] * len(entries)
             values[::2], values[1::2] = range(start, start + len(entries)), entries
-            yield sep.join([row] * len(entries)) % tuple(values)
-        elif 0 < min(entries) and max(entries) < 0.9999999999:
-            yield sep.join([row] * len(entries)) % tuple(entries)
-        else:
-            yield sep.join([f"{float(x):.12}" for x in entries])
+            yield template % tuple(values)
 
 
 def _simulate_text(report):
@@ -450,7 +449,7 @@ _LAYOUTS = {
     "grover solve-q": (_SOLVE_Q_TEXT, "n,q_solved,q_rounded\n{n},{q_solved},{q_rounded}", _json),
     "grover simulate": (_simulate_text, lambda report: itertools.chain(
         ["iteration,marked_probability"], _trace_blocks(report["trace"], "%d,%.12g")),
-        lambda report: _json(report, "trace", _trace_blocks(report["trace"], "%.12g", ",\n    "))),
+        lambda report: _json(report, "trace", _trace_blocks(report["trace"], "{:.12}", ",\n    "))),
     "energy": (_ENERGY_TEXT, _ENERGY_CSV, _json),
 }
 

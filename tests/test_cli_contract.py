@@ -9,7 +9,11 @@ neither the target nor a temporary file behind.
 
 import json
 import os
+import signal
+import subprocess
+import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -262,6 +266,38 @@ def test_failing_row_stream_leaves_no_output_file(tmp_path, monkeypatch, fmt):
 def test_crash_mid_stream_leaves_no_output_file(tmp_path, monkeypatch):
     monkeypatch.setattr(reports, "CHUNK_LINES", 4)
     monkeypatch.setattr(reports, "emit", failing_after(2, KeyboardInterrupt()))
-    with pytest.raises(KeyboardInterrupt):
-        run_cli("count", "--k", "4", "--r", "3", "-o", str(tmp_path / "report.out"))
+    result = run_cli("count", "--k", "4", "--r", "3", "-o", str(tmp_path / "report.out"))
+    assert result == (130, "", "error: interrupted\n")
+    assert os.listdir(tmp_path) == []
+
+
+def _interruptible(*argv, **kwargs):
+    """`python -m codonlab ARGV`, started with SIGINT at its default, so Python raises
+    KeyboardInterrupt for it even where this process was started ignoring it."""
+    return subprocess.Popen([sys.executable, "-m", "codonlab", *argv], stderr=subprocess.PIPE,
+                            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+                            **kwargs)
+
+
+def test_sigint_while_streaming_to_stdout_exits_130_without_traceback():
+    # about 3 MB of JSON, far more than a pipe holds: the run blocks, writing, until read
+    child = _interruptible("count", "--k", "6", "--r", "20", "--format", "json",
+                           stdout=subprocess.PIPE)
+    assert child.stdout.read(10) == b'{\n  "comma'
+    child.send_signal(signal.SIGINT)
+    out, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (130, b"error: interrupted\n")
+    assert len(out) < 3_000_000  # what was written before the interrupt; a partial report
+
+
+def test_sigint_while_writing_a_file_exits_130_and_leaves_no_file(tmp_path):
+    target = tmp_path / "trace.json"
+    child = _interruptible("grover", "simulate", "--n", "4", "--q", str(2**20), "--format",
+                           "json", "-o", str(target), stdout=subprocess.DEVNULL)
+    while not os.listdir(tmp_path) and child.poll() is None:  # until the temporary file opens
+        time.sleep(0.001)
+    time.sleep(0.02)  # into the write, which spells 2**20 + 1 entries
+    child.send_signal(signal.SIGINT)
+    assert child.wait(timeout=60) == 130
+    assert child.stderr.read() == b"error: interrupted\n"
     assert os.listdir(tmp_path) == []

@@ -38,6 +38,7 @@ from codonlab import cli
 from codonlab.cli import main
 from codonlab.genetic_code import PRODUCT_SYMBOLS, STANDARD_TABLE_TEXT, parse_table
 from codonlab.reports import (
+    RoundedTrace,
     build_analyze_report,
     build_count_report,
     build_energy_report,
@@ -726,7 +727,7 @@ def _simulate_renderings_match_references(report, chunk):
 
 @pytest.mark.parametrize("chunk", [1, 3, 256])
 @given(_simulations())
-@example((4, 1000, 0))  # an exact 1.0 in every block: JSON spells each entry on its own
+@example((4, 1000, 0))  # an exact 1.0 in every block, spelled 1.0 in JSON and 1 in text and CSV
 @settings(max_examples=20, deadline=None)
 def test_simulate_blocks_match_references_at_every_block_size(chunk, args):
     _simulate_renderings_match_references(build_grover_simulate_report(*args), chunk)
@@ -734,9 +735,9 @@ def test_simulate_blocks_match_references_at_every_block_size(chunk, args):
 
 @pytest.mark.parametrize("chunk", [1, 3, 256])
 def test_a_plain_trace_mixes_template_and_per_entry_blocks(chunk):
-    trace = [round_sig(1 / (i + 2)) for i in range(600)]  # inside the JSON template's guard
-    # outside it: 0.0 in the first block of 256, 1.0 in the second, the guard's edge in a block of
-    # 3 of its own; the third block of 256 and most blocks of 3, 0.999999999899 too, are inside
+    trace = [round_sig(1 / (i + 2)) for i in range(600)]  # in 0 < x < 0.9999999999, where %.12g
+    # is {:.12}; outside it: 0.0 in the first block of 256, 1.0 in the second, 0.9999999999 in a
+    # block of 3 of its own; the third block of 256 and most blocks of 3, 0.999999999899 too, are in
     trace[7], trace[300], trace[400], trace[403] = 0.0, 1.0, 0.9999999999, 0.999999999899
     _simulate_renderings_match_references(dict(build_grover_simulate_report(4, 1, 0),
                                                trace=trace), chunk)
@@ -746,6 +747,33 @@ def test_a_plain_trace_holding_ints_renders_as_floats_in_json():
     report = dict(build_grover_simulate_report(4, 1, 0), trace=[0, 1])
     assert render(report, "json").endswith('"trace": [\n    0.0,\n    1.0\n  ]\n}\n')
     assert render(report, "csv") == "iteration,marked_probability\n0,0\n1,1\n"
+
+
+# one of each way an entry can be spelled, in one block at CHUNK_LINES 256: signed zeros, an exact
+# 1.0, ints and a bool, a subnormal, exponent forms, the edge 0.9999999999, a value that rounds up
+# to 1, and values of 11 to 13 digits, where {:.12} and json.dumps part (1e12 is 1e+12)
+SPELLING_CLASSES = [0.0, -0.0, 1.0, 0, 1, True, 5e-324, 1e-05, 0.9999999999, 0.99999999999951,
+                    1e11, 123456789012.0, 1e12]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 256])
+def test_every_spelling_class_in_one_block_matches_a_per_entry_reference(chunk):
+    report = dict(build_grover_simulate_report(4, 1, 0), trace=SPELLING_CLASSES)
+    rows = list(enumerate(SPELLING_CLASSES))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reports, "CHUNK_LINES", chunk)
+        assert render(report, "json").endswith('"trace": [\n    ' + ",\n    ".join(
+            f"{float(x):.12}" for x in SPELLING_CLASSES) + "\n  ]\n}\n")
+        assert render(report, "text").endswith("\n\niteration  marked_probability" + "".join(
+            f"\n{i:<9}  " + "%.12g" % x for i, x in rows) + "\n")
+        assert render(report, "csv") == "iteration,marked_probability\n" + "".join(
+            f"{i},%.12g\n" % x for i, x in rows)
+
+
+@pytest.mark.parametrize("trace", [[], RoundedTrace(())], ids=["list", "view"])
+def test_an_empty_trace_renders_as_its_references(trace):  # in JSON, "trace": [] on one line
+    _simulate_renderings_match_references(dict(build_grover_simulate_report(4, 1, 0),
+                                               trace=trace), 256)
 
 
 def _dumped(report):
@@ -1204,7 +1232,7 @@ def test_round_sig_pins_emission_precision():
 @example(0.25)
 @example(1.0)
 @example(9.99999999999951e-05)  # rounds up to 0.0001, where the spelling leaves exponent form
-@example(0.9999999999)  # the JSON template's guard: entries below it take %.12g
+@example(0.9999999999)  # the edge of 0 < x < 0.9999999999, inside which %.12g is {:.12}
 @example(math.nextafter(0.9999999999, 0))
 @example(0.99999999999951)  # rounds up to 1, which %.12g spells without the point
 @example(5e-324)
@@ -1213,8 +1241,8 @@ def test_round_sig_pins_emission_precision():
 def test_a_trace_entry_is_spelled_as_its_rounding(x):
     """A simulate trace's layouts spell the run's own floats: {:.12} in JSON is repr (json.dumps's
     spelling) of the rounded value, and {:.12g} in text and CSV is the rounded value's spelling.
-    The `%` templates that spell a block of rows at once give the same bytes: %.12g is {:.12g},
-    and inside the JSON template's guard, 0 < x < 0.9999999999, it is {:.12} too.
+    The `%` templates that spell a block of text or CSV rows at once give the same bytes: %.12g
+    is {:.12g}, and inside 0 < x < 0.9999999999 it is {:.12} too, the JSON template's spelling.
 
     Every trace entry is a probability that is 0.0 or a normal float. Subnormals differ from
     their rounding's repr: 5e-324 is spelled 4.94065645841e-324, by %.12g and {:.12} alike.
