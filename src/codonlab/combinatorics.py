@@ -23,7 +23,7 @@ RNA_ALPHABET = ("A", "C", "G", "U")
 # Refuse to enumerate more classes than this unless the caller raises the cap.
 DEFAULT_CLASS_CAP = 10**6
 
-BLOCK_CHARS = 1 << 16  # characters held at most in the suffix blocks of one pass over the classes
+BLOCK_CHARS = 1 << 18  # characters held at most in the suffix blocks of one pass over the classes
 
 # Refuse counts with more decimal digits than this (CPython's default int-to-str limit).
 MAX_DIGITS = 4300
@@ -169,7 +169,7 @@ class MultisetClasses(Record):
 
         The tail is the last m < k slots, m as large as keeps its blocks (for left = 0..r: its
         words, counts texts and sizes, their sum and the widest counts text) within BLOCK_CHARS
-        characters. The head's last slot, spelled "", takes the letters left to the tail.
+        characters and 2 a class, not more than a pass spells. The head's last slot takes the rest.
         """
         r, k = self.r, len(letters)
         # spell only the counts a walk reaches: each up to r, but with one letter just r (and 0)
@@ -177,7 +177,7 @@ class MultisetClasses(Record):
         digits = {c: end + sep for c, end in ends.items()}
         widest, m = max(map(len, letters)), 0  # a tail row: at most r*widest + m*len(digits[r])
         while m + 1 < k and math.comb(r + m + 1, r) * (
-                r * widest + (m + 1) * len(digits[r])) <= BLOCK_CHARS:
+                r * widest + (m + 1) * len(digits[r])) <= min(BLOCK_CHARS, 2 * len(self)):
             m += 1
         if not m:  # every class is a prefix, joined to one empty row
             return _walk(letters, r, digits, ends), lambda left: (("",), ("",), (1,), 1, 0)

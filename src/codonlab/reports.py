@@ -1,12 +1,11 @@
 """Report construction and deterministic rendering (text, JSON, CSV), one _LAYOUTS row a command.
 
 Builders assemble plain dicts with stable key order; each imports the module it reports on, and
-JSON the json module, only when called. Text and CSV lines and a JSON list's items leave through
-one chunker, CHUNK_LINES at a time, so rows made on demand are never held whole as text: a
-count's classes a line each, a simulate trace's rows a block of CHUNK_LINES each, one template
-per format (see _trace_blocks), so up to CHUNK_LINES**2 rows to a chunk. Floats are rounded to
-12 significant digits, so every format encodes identical values and runs are byte-identical: a
-builder rounds each scalar, and a RoundedTrace each entry as it is read, or a template spells it.
+JSON the json module, only when called. Rows made on demand are spelled a block at a time, one
+template a block (see _trace_blocks and _count_blocks), and leave through one chunker, whole
+blocks to a chunk of CHUNK_LINES rows or more, so they are never held whole as text. Floats are
+rounded to 12 significant digits, so every format encodes identical values and runs are
+byte-identical: a builder rounds each scalar, a RoundedTrace each entry, or a template spells it.
 """
 
 import itertools
@@ -15,7 +14,7 @@ from collections import Counter
 from .errors import InvalidParamsError, as_int
 from .record import Record
 
-CHUNK_LINES = 256  # lines per emitted chunk; a block of a simulate trace's rows is one line
+CHUNK_LINES = 256  # rows per emitted chunk at least, but in the last
 _format_float = "{:.12g}".format
 
 
@@ -32,13 +31,17 @@ def _fmt(value) -> str:
     return "-" if value is None else str(value)  # None: a code without an id
 
 
-def _chunked(lines, sep="\n"):
-    """Join lines with `sep` into chunks of CHUNK_LINES lines; no separator after the last."""
-    lines = iter(lines)
-    lead = ""
-    while chunk := list(itertools.islice(lines, CHUNK_LINES)):
-        yield lead + sep.join(chunk)
-        lead = sep
+def _chunks(head, blocks, sep="", end="\n"):
+    """`head`, the blocks, (text, rows) pairs, joined by `sep`, and `end`: each chunk holds whole
+    blocks, the fewest that reach CHUNK_LINES rows, and the last one the rest and `end`."""
+    lead, chunk, count = head, [], 0
+    for block, rows in blocks:
+        if count >= CHUNK_LINES:
+            yield lead + sep.join(chunk)
+            lead, chunk, count = sep, [], 0
+        chunk.append(block)
+        count += rows
+    yield lead + sep.join(chunk) + end
 
 
 def _fields(report) -> dict:
@@ -55,15 +58,13 @@ def _fields(report) -> dict:
     return fields
 
 
-def _table(headers, rows, widths=None):
+def _table(headers, rows):
     """A table's lines, one template.format each: every cell but the last left-aligned and padded.
 
     The last cell of every row must be non-empty and must not end in whitespace,
-    so no line ends in padding. The padded columns' widths come from the rows,
-    which must then be a list; rows generated on demand come with their widths.
+    so no line ends in padding. The padded columns' widths come from the rows, a list.
     """
-    if widths is None:
-        widths = [max(map(len, column)) for column in zip(headers[:-1], *rows)]
+    widths = [max(map(len, column)) for column in zip(headers[:-1], *rows)]
     template = "".join(f"{{:<{width}}}  " for width in widths) + "{}"
     return itertools.chain([template.format(*headers)], itertools.starmap(template.format, rows))
 
@@ -77,37 +78,42 @@ def _json_skeleton(node):
     return "\0"
 
 
-# (command, mode, key, every object's keys and list of objects' length) -> a layout, from the
-# first report of that shape emitted: a fixed report would, for analyze, parse an unasked table
+# (command, mode, key, each object's start and keys or list's length) -> a layout, from the first
+# report of that shape emitted: a fixed report would, for analyze, parse an unasked table
 _json_layouts = {}
 
 
 def _json(report, key=None, items=()):
     """The report as json.dumps(report, indent=2) + "\\n" spells it, from its shape's layout.
 
-    With `key`, the field `key` is left out of the head and closes it as a list of `items`, each
-    preformatted as json.dumps spells it. Every builder keeps one shape rule: keys, their order
-    and the length of every list of objects do not depend on the inputs, so the first report's
-    layout, with a `{}` slot for each value, serves every report of its command. A layout is
-    keyed by those keys and lengths, so a report whose caller added, removed or renamed a key at
-    any depth gets its own. Values are spelled as json.dumps spells them (a report's floats are
-    finite); a list of strings holds codons or product symbols, which need no escaping.
+    With `key`, the field `key` is left out of the head and closes it as a list of `items`,
+    blocks of _chunks joined by ",", each item spelled as json.dumps spells it, its line break
+    first. Every builder keeps one shape rule: keys, their order and the length of every list of
+    objects do not depend on the inputs, so the first report's layout, with a `{}` slot for each
+    value, serves every report of its command. A layout is keyed by where each object starts and
+    its keys, so a caller's report of another shape gets its own. Values are spelled as json.dumps
+    spells them (floats are finite), a list of strings at its depth, escaped if any is not plain.
     """
     from json.encoder import encode_basestring_ascii  # how json.dumps escapes a string
     if key and not len(report[key]):  # an empty list is one value, [], as json.dumps spells it
         report, key = {**report, key: []}, None
     report = {name: value for name, value in report.items() if name != key} if key else report
-    values, keys = [], []
+    values, keys, strings, spellings = [], [], [], {}
 
-    def add(node):  # in json.dumps order; the builder makes every dict and list exactly that
-        keys.append(tuple(node) if type(node) is dict else len(node))
+    def add(node, depth, escape=False):  # in json.dumps order, as the builder makes each object
+        keys.extend((len(values), tuple(node) if type(node) is dict else len(node)))
+        if depth not in spellings:  # a list of strings' opening, separator and closing here
+            item = "\n" + "  " * (depth + 2)
+            spellings[depth] = f'[{item}"', f'",{item}"', f'"{item[:-2]}]'
+        start, sep, end = spellings[depth]
         for value in node.values() if type(node) is dict else node:
             kind = type(value)
             if kind is dict or kind is list and value and type(value[0]) is dict:
-                add(value)
-            elif kind is list:  # of strings, in an analyze class or prefix entry, or empty
-                values.append('[\n          "' + '",\n          "'.join(value) + '"\n        ]'
-                              if value else "[]")
+                add(value, depth + 1, escape)
+            elif kind is list:  # of strings, or empty
+                strings.extend(value)
+                value = [encode_basestring_ascii(s)[1:-1] for s in value] if escape else value
+                values.append(start + sep.join(value) + end if value else "[]")
             elif isinstance(value, str):
                 values.append(encode_basestring_ascii(value))
             elif value is None or isinstance(value, bool):
@@ -115,15 +121,20 @@ def _json(report, key=None, items=()):
             else:  # an int or a finite float
                 values.append(repr(value))
 
-    add(report)
+    add(report, 0)
+    text = "".join(strings)  # plain, or every string in a list is escaped
+    if not (text.isascii() and text.isprintable() and '"' not in text and "\\" not in text):
+        values[:], keys[:] = [], []
+        add(report, 0, True)
     shape = (report["command"], report.get("mode"), key, tuple(keys))
     if shape not in _json_layouts:
         import json
         text = json.dumps(_json_skeleton(report), indent=2)
-        text = text[:-2] + f',\n  "{key}": [\n    ' if key else text + "\n"
-        _json_layouts[shape] = text.replace("{", "{{").replace("}", "}}").replace(r'"\u0000"', "{}")
-    head = [_json_layouts[shape].format(*values)]
-    return itertools.chain(head, _chunked(items, ",\n    "), ["\n  ]\n}\n"]) if key else head
+        text = text[:-2] + f',\n  "{key}": [' if key else text + "\n"
+        text = text.replace("{", "{{").replace("}", "}}")
+        _json_layouts[shape] = text.replace(r': "\u0000"', ": {}")  # a value's slot, not a key
+    head = _json_layouts[shape].format(*values)
+    return _chunks(head, items, ",", "\n  ]\n}\n") if key else [head]
 
 
 # --- count ---------------------------------------------------------------
@@ -134,27 +145,21 @@ _COUNT_TEXT = (
     "  content classes:      {multiset_count}\n"
 )
 _COUNT_SKIPPED_TEXT = _COUNT_TEXT + "  classes:              skipped"
-_COUNT_CLASSES_TEXT = _COUNT_TEXT + "  partition identity:   {identity}\n"
+_COUNT_CLASSES_TEXT = _COUNT_TEXT + "  partition identity:   {identity}\n\n{word}  {counts}  size"
 
 
 def build_count_report(k: int, r: int, *, alphabet=None, cap: int | None = None,
                        include_classes: bool = True) -> dict:
     """The two counts and, unless skipped, the classes as a lazy MultisetClasses.
 
-    Each value is checked once, before any class is generated: k, r and the digit
-    bound by the two counts, the cap (by default combinatorics.DEFAULT_CLASS_CAP)
-    and the alphabet by enumerate_multisets, or here when the classes are skipped.
-    The text and JSON layouts add the partition identity: whether the
-    classes' survey of their sizes sums to this report's `arrangements`.
+    Each value is checked once, before any class is generated: k, r and the digit bound by the
+    two counts, the cap (by default combinatorics.DEFAULT_CLASS_CAP) and the alphabet by
+    enumerate_multisets, or here when the classes are skipped. The text and JSON layouts add the
+    partition identity: whether the classes' survey of their sizes sums to `arrangements`.
     """
     from . import combinatorics
-    report = {
-        "command": "count",
-        "k": k,
-        "r": r,
-        "arrangements": combinatorics.arrangements(k, r),
-        "multiset_count": combinatorics.multiset_count(k, r),
-    }
+    report = {"command": "count", "k": k, "r": r, "arrangements": combinatorics.arrangements(k, r),
+              "multiset_count": combinatorics.multiset_count(k, r)}
     if include_classes:
         cap = combinatorics.DEFAULT_CLASS_CAP if cap is None else cap
         report["classes"] = combinatorics.enumerate_multisets(k, r, alphabet=alphabet, cap=cap)
@@ -166,15 +171,34 @@ def build_count_report(k: int, r: int, *, alphabet=None, cap: int | None = None,
     return report
 
 
+def _count_blocks(classes, letters, sep, row, lines="", mark=None):
+    """A count's rows, a _chunks block per head prefix: its tail block (MultisetClasses._blocks)
+    spelled once per `left` and `mark(word, counts)` as one `%` template, `row(word, counts, mark)`
+    of each tail row joined by `lines`, "\\0" and "\\1" standing for the prefix's word and counts,
+    %d for each size. Letters are escaped "%%"; printable, none spells "\\0" or "\\1"."""
+    prefixes, block = classes._blocks(tuple(letter.replace("%", "%%") for letter in letters), sep)
+    templates = {}
+    for word, counts, size, left in prefixes:
+        key = left, mark and mark(word, counts)
+        if key not in templates:
+            words, tails, sizes = block(left)[:3]
+            templates[key] = lines.join(map(row, words, tails, [key[1]] * len(sizes))), sizes
+        template, sizes = templates[key]
+        text = template.replace("\0", word).replace("\1", counts)
+        yield text % tuple(map(size.__mul__, sizes)), len(sizes)
+
+
 def _count_text(report):
-    total, widest = report["classes"].survey()
+    classes, r = report["classes"], report["r"]
+    total, widest = classes.survey()
     identity = "ok (class sizes sum to k^r)" if total == report["arrangements"] else "VIOLATED"
-    r = report["r"]
-    rows = report["classes"].rows() if r else [("(empty)", ",".join("0" * report["k"]), 1)]
-    # every word has r letters; the last column, the sizes, is not padded
-    widths = (max(len("word"), r or len("(empty)")), max(len("counts"), widest))
-    head = _COUNT_CLASSES_TEXT.format(identity=identity, **_fields(report))
-    return itertools.chain([head], _table(("word", "counts", "size"), rows, widths))
+    # every word has r letters, r = 0's one class is spelled (empty); the sizes are not padded
+    word, width = max(len("word"), r or len("(empty)")), max(len("counts"), widest)
+    head = _COUNT_CLASSES_TEXT.format(identity=identity, word="word".ljust(word),
+                                      counts="counts".ljust(width), **_fields(report))
+    return _chunks(head, _count_blocks(classes, classes.alphabet, ",", lambda tail, counts, n: (
+        "\n\0" + tail if r else "\n(empty)") + " " * (word - (r or 7)) + f"  \1{counts}"
+        + " " * (width - n - len(counts)) + "  %d", mark=lambda _, counts: len(counts)))
 
 
 def _count_json(report):
@@ -182,18 +206,18 @@ def _count_json(report):
     from json.encoder import encode_basestring_ascii
     classes = report["classes"]
     letters = [encode_basestring_ascii(letter)[1:-1] for letter in classes.alphabet]
-    rows = (f'{{"word": "{word}", "counts": [{counts}], "size": {size}}}'
-            for word, counts, size in classes.rows(letters, ", "))
     identity = classes.survey()[0] == report["arrangements"]
-    return _json({**report, "partition_identity_holds": identity}, "classes", rows)
+    row = '\n    {"word": "\0%s", "counts": [\1%s], "size": %%d}'
+    return _json({**report, "partition_identity_holds": identity}, "classes", _count_blocks(
+        classes, letters, ", ", lambda word, counts, _: row % (word, counts), ","))
 
 
 def _count_csv(report):
     classes = report["classes"]  # as csv.writer: a word holding `"` (spelled `""`) or "," is quoted
     letters = [letter.replace('"', '""') for letter in classes.alphabet]
-    return itertools.chain(["word,counts,size"], (
-        f'"{word}",{counts},{size}' if '"' in word or "," in word else f"{word},{counts},{size}"
-        for word, counts, size in classes.rows(letters, ":")))
+    return _chunks("word,counts,size", _count_blocks(classes, letters, ":", lambda word, cell, q: (
+        f'\n"\0{word}"' if q or '"' in word or "," in word else "\n\0" + word) + f",\1{cell},%d",
+        mark=lambda word, _: '"' in word or "," in word))  # q: the prefix's word is quoted
 
 
 _COUNT_SKIPPED_CSV = ("quantity,value\nk,{k}\nr,{r}\narrangements,{arrangements}\n"
@@ -289,12 +313,12 @@ def _analyze_text(report) -> list:
                     _fmt(e["fully_degenerate"])) for e in report["prefix"]["prefixes"]]
     prefixes = _table(("prefix", "products(U,C,A,G)", "distinct", "fully-degenerate"), prefix_rows)
     return [_ANALYZE_TEXT.format(size_profile=profile, classes="\n".join(classes),
-                                 prefixes="\n".join(prefixes), **_fields(report))]
+                                 prefixes="\n".join(prefixes), **_fields(report)) + "\n"]
 
 
 def _analyze_csv(report) -> list:
-    return ["word,size,codons,products,coherent,coherent_excluding_stop",
-            *map(",".join, _class_rows(report, ";"))]
+    return ["\n".join(["word,size,codons,products,coherent,coherent_excluding_stop",
+                       *map(",".join, _class_rows(report, ";"))]) + "\n"]
 
 
 # --- grover ---------------------------------------------------------------
@@ -313,24 +337,15 @@ _SIMULATE_TEXT = (  # the trace table's rows follow its header
 
 def build_grover_solve_n_report(q: int) -> dict:
     from . import grover
-    return {
-        "command": "grover",
-        "mode": "solve-n",
-        "q": q,
-        "n_solved": round_sig(grover.solve_n(q)),
-    }
+    return {"command": "grover", "mode": "solve-n", "q": q,
+            "n_solved": round_sig(grover.solve_n(q))}
 
 
 def build_grover_solve_q_report(n: float) -> dict:
     from . import grover
     q = grover.solve_q(n)
-    return {
-        "command": "grover",
-        "mode": "solve-q",
-        "n": round_sig(n),
-        "q_solved": round_sig(q),
-        "q_rounded": round(q),
-    }
+    return {"command": "grover", "mode": "solve-q", "n": round_sig(n), "q_solved": round_sig(q),
+            "q_rounded": round(q)}
 
 
 def build_grover_simulate_report(n: int, q: int, marked: int, *, cap: int | None = None) -> dict:
@@ -339,18 +354,12 @@ def build_grover_simulate_report(n: int, q: int, marked: int, *, cap: int | None
     run = grover.simulate(n, q, marked, cap=grover.DEFAULT_SIM_CAP if cap is None else cap)
     closed_form = grover.success_probability(n, q)
     final = run.probability_trace[-1]
-    return {
-        "command": "grover",
-        "mode": "simulate",
-        "n": n,
-        "q": q,
-        "marked": marked,
-        "final_marked_probability": round_sig(final),
-        "closed_form_probability": round_sig(closed_form),
-        "difference": round_sig(abs(final - closed_form)),
-        "max_norm_drift": round_sig(run.max_norm_drift),
-        "trace": RoundedTrace(run.probability_trace),
-    }
+    return {"command": "grover", "mode": "simulate", "n": n, "q": q, "marked": marked,
+            "final_marked_probability": round_sig(final),
+            "closed_form_probability": round_sig(closed_form),
+            "difference": round_sig(abs(final - closed_form)),
+            "max_norm_drift": round_sig(run.max_norm_drift),
+            "trace": RoundedTrace(run.probability_trace)}
 
 
 class RoundedTrace(Record):
@@ -365,26 +374,26 @@ class RoundedTrace(Record):
         return map(round_sig, self.probabilities)
 
 
-def _trace_blocks(trace, row, sep="\n"):
-    """A simulate trace's rows, joined by `sep` in blocks of CHUNK_LINES rows, each block `row`
-    repeated and filled from the block: a `%` row from iterations and entries, JSON's `{:.12}`
+def _trace_blocks(trace, row, sep=""):
+    """A simulate trace's rows as _chunks blocks of CHUNK_LINES rows, each `row` repeated, joined
+    by `sep` and filled from the block: a `%` row from iterations and entries, JSON's `{:.12}`
     (json.dumps's spelling of the 12-digit rounding) from entries; a list is read as floats."""
     floats = trace.probabilities if isinstance(trace, RoundedTrace) else [*map(float, trace)]
     for start in range(0, len(trace), CHUNK_LINES):  # len(): a trace that is an iterator is refused
         entries = floats[start:start + CHUNK_LINES]
         template = sep.join([row] * len(entries))
-        if row[0] == "{":  # JSON
-            yield template.format(*entries)
+        if "{" in row:  # JSON
+            yield template.format(*entries), len(entries)
         else:
             values = [0, 0] * len(entries)
             values[::2], values[1::2] = range(start, start + len(entries)), entries
-            yield template % tuple(values)
+            yield template % tuple(values), len(entries)
 
 
 def _simulate_text(report):
     width = max(len("iteration"), len(str(len(report["trace"]) - 1)))
     head = _SIMULATE_TEXT.format_map(dict(_fields(report), iteration="iteration".ljust(width)))
-    return itertools.chain([head], _trace_blocks(report["trace"], f"%-{width}d  %.12g"))
+    return _chunks(head, _trace_blocks(report["trace"], f"\n%-{width}d  %.12g"))
 
 
 # --- energy ---------------------------------------------------------------
@@ -406,25 +415,17 @@ def build_energy_report(params, scale_factor: float) -> dict:
     from . import physics
     dp = physics.momentum_uncertainty(params)
     comparison = physics.scale_comparison(params, scale_factor)
-    return {
-        "command": "energy",
-        "params": {
-            "hbar": round_sig(params.hbar),
-            "delta_x": round_sig(params.delta_x),
-            "mass": round_sig(params.mass),
-            "hbond_energy": round_sig(params.hbond_energy),
-        },
-        "momentum_uncertainty": round_sig(dp),
-        "fluctuation_energy_erg": round_sig(comparison.energy_base),
-        "fluctuation_energy_ev": round_sig(physics.erg_to_ev(comparison.energy_base)),
-        "hbond_ratio": round_sig(comparison.base_to_hbond),
-        "scale": {
-            "factor": round_sig(comparison.scale_factor),
-            "energy_scaled_erg": round_sig(comparison.energy_scaled),
-            "energy_ratio": round_sig(comparison.energy_ratio),
-            "scaled_to_hbond": round_sig(comparison.scaled_to_hbond),
-        },
-    }
+    return {"command": "energy",
+            "params": {name: round_sig(getattr(params, name))  # PhysicalParams' fields, in order
+                       for name in ("hbar", "delta_x", "mass", "hbond_energy")},
+            "momentum_uncertainty": round_sig(dp),
+            "fluctuation_energy_erg": round_sig(comparison.energy_base),
+            "fluctuation_energy_ev": round_sig(physics.erg_to_ev(comparison.energy_base)),
+            "hbond_ratio": round_sig(comparison.base_to_hbond),
+            "scale": {"factor": round_sig(comparison.scale_factor),
+                      "energy_scaled_erg": round_sig(comparison.energy_scaled),
+                      "energy_ratio": round_sig(comparison.energy_ratio),
+                      "scaled_to_hbond": round_sig(comparison.scaled_to_hbond)}}
 
 
 _ENERGY_CSV = (
@@ -440,16 +441,16 @@ _ENERGY_CSV = (
 # --- dispatch ---------------------------------------------------------------
 
 # command as the CLI names it -> (text layout, CSV layout, JSON emitter); a layout is a
-# function that returns the lines, or one line template filled from the report's fields
+# function that returns the chunks, or a template of the whole text filled from the fields
 _LAYOUTS = {
     "count": (_count_text, _count_csv, _count_json),
     "count --skip-classes": (_COUNT_SKIPPED_TEXT, _COUNT_SKIPPED_CSV, _json),
     "analyze": (_analyze_text, _analyze_csv, _json),
     "grover solve-n": (_SOLVE_N_TEXT, "q,n_solved\n{q},{n_solved}", _json),
     "grover solve-q": (_SOLVE_Q_TEXT, "n,q_solved,q_rounded\n{n},{q_solved},{q_rounded}", _json),
-    "grover simulate": (_simulate_text, lambda report: itertools.chain(
-        ["iteration,marked_probability"], _trace_blocks(report["trace"], "%d,%.12g")),
-        lambda report: _json(report, "trace", _trace_blocks(report["trace"], "{:.12}", ",\n    "))),
+    "grover simulate": (_simulate_text, lambda report: _chunks(
+        "iteration,marked_probability", _trace_blocks(report["trace"], "\n%d,%.12g")),
+        lambda report: _json(report, "trace", _trace_blocks(report["trace"], "\n    {:.12}", ","))),
     "energy": (_ENERGY_TEXT, _ENERGY_CSV, _json),
 }
 
@@ -469,10 +470,9 @@ def emit(report: dict, fmt: str = "text"):
         raise InvalidParamsError(f"format must be text, json or csv, got {fmt!r}")
     layout = _LAYOUTS[command][formats.index(fmt)]
     try:
-        lines = layout(report) if callable(layout) else [layout.format_map(_fields(report))]
+        return layout(report) if callable(layout) else [layout.format_map(_fields(report)) + "\n"]
     except KeyError as exc:
         raise InvalidParamsError(f"{command} report has no field {exc.args[0]!r}") from None
-    return lines if fmt == "json" else itertools.chain(_chunked(lines), ["\n"])
 
 
 def render(report: dict, fmt: str = "text") -> str:

@@ -14,6 +14,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -260,10 +261,9 @@ def test_count_reports_stream_in_chunks(monkeypatch):
         assert "".join(chunks) == (GOLDEN / f"count.{EXTENSIONS[fmt]}").read_text()
 
 
-def padded_table(headers, rows, widths=None):
+def padded_table(headers, rows):
     """A text table as every column padded, the last too, and each line then right-stripped."""
-    if widths is None:
-        widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
     template = "  ".join(f"{{:<{width}}}" for width in widths)
     return [template.format(*row).rstrip() for row in [headers, *rows]]
 
@@ -272,22 +272,13 @@ _CELLS = st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=8)
 _LAST_CELLS = _CELLS.filter(lambda cell: cell and not cell[-1].isspace())
 
 
-@given(data=st.data(), columns=st.integers(1, 6), row_count=st.integers(0, 6),
-       given_widths=st.booleans())
+@given(data=st.data(), columns=st.integers(1, 6), row_count=st.integers(0, 6))
 @settings(max_examples=200, deadline=None)
-def test_table_lines_match_padding_every_column(data, columns, row_count, given_widths):
+def test_table_lines_match_padding_every_column(data, columns, row_count):
     row = st.tuples(*[_CELLS] * (columns - 1), _LAST_CELLS)
     headers = data.draw(row)
     rows = data.draw(st.lists(row, min_size=row_count, max_size=row_count))
-    widths = None
-    if given_widths:  # a width for each padded column, as a caller of rows on demand gives
-        widths = data.draw(st.lists(st.integers(0, 10), min_size=columns - 1,
-                                    max_size=columns - 1))
-        expected = padded_table(headers, rows, widths + [0])
-        rows = iter(rows)
-    else:
-        expected = padded_table(headers, rows)
-    assert list(reports._table(headers, rows, widths)) == expected
+    assert list(reports._table(headers, rows)) == padded_table(headers, rows)
 
 
 def buffered_csv(headers, rows):
@@ -307,27 +298,63 @@ def csv_chunks(report):
         return list(reports.emit(report, "csv"))
 
 
-# letters that csv.writer quotes or doubles, that other CSV dialects treat specially, or non-ASCII
-_CSV_LETTERS = (",", '"', "'", "\\", ";", ":", "a", "Z", "\u00e9", "\u03a9", "\u00df")
+# letters that csv.writer quotes or doubles, that other CSV dialects treat specially, or non-ASCII;
+# and `%`, `{` and `}`, which a `%` or str.format template would read as its own
+_CSV_LETTERS = (",", '"', "'", "\\", ";", ":", "a", "Z", "\u00e9", "\u03a9", "\u00df",
+                "%", "{", "}")
+
+
+def reference_count_text(rows):
+    """The count text table, each row f"{word:<W}  {counts:<C}  {size}" of a class's own fields."""
+    rows = [(word or "(empty)", counts.replace(":", ","), size) for word, counts, size in rows]
+    word, counts = (max(len(head), *(len(row[i]) for row in rows))
+                    for i, head in enumerate(("word", "counts")))
+    return "".join(f"{w:<{word}}  {c:<{counts}}  {size}\n"
+                   for w, c, size in [("word", "counts", "size"), *rows])
+
+
+def chunk_rows(chunks):
+    """The rows in each chunk of a count's text or CSV: its line breaks, less the text head's five
+    and the closing one; a last chunk that holds only the closing newline is left out."""
+    rows = [chunk.count("\n") for chunk in chunks]
+    rows[0] -= 5 * chunks[0].startswith("Content")
+    rows[-1] -= 1
+    return rows if rows[-1] else rows[:-1]
 
 
 @given(letters=st.permutations(_CSV_LETTERS), k=st.integers(1, 7), r=st.integers(0, 5),
-       block_chars=st.sampled_from([1, 40, 300, 1 << 16]))
-@example(letters='",', k=2, r=0, block_chars=1 << 16)
-@example(letters='"', k=1, r=5, block_chars=1 << 16)
+       block_chars=st.sampled_from([1, 40, 300, 1 << 18]), chunk=st.sampled_from([1, 3, 256]))
+@example(letters='",', k=2, r=0, block_chars=1 << 18, chunk=256)
+@example(letters='"', k=1, r=5, block_chars=1 << 18, chunk=256)
+@example(letters='%"{', k=3, r=4, block_chars=300, chunk=3)
+@example(letters='%', k=1, r=0, block_chars=1, chunk=1)
 @settings(max_examples=200, deadline=None)
-def test_count_csv_matches_csv_writer(letters, k, r, block_chars):
+def test_count_csv_matches_csv_writer(letters, k, r, block_chars, chunk):
+    """The count CSV is csv.writer's, its text table and JSON their references, at every split of
+    the alphabet into head and tail slots (BLOCK_CHARS) and every chunk size."""
     alphabet = letters[:k]
-    # a smaller BLOCK_CHARS moves the split of the alphabet into head and tail slots
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(codonlab.combinatorics, "BLOCK_CHARS", block_chars)
-        report = build_count_report(len(alphabet), r, alphabet=alphabet)
+        report, expected_json = _count_json_case(letters, k, r)
         rows = [(c.canonical_word, ":".join(map(str, c.counts)), class_size(c))
                 for c in report["classes"]]
-        chunks = csv_chunks(report)
-    assert "".join(chunks) == buffered_csv(("word", "counts", "size"), rows)
-    # the header counts as a line, and the closing newline is a chunk of its own
-    assert len(chunks) == -(-(len(rows) + 1) // CSV_CHUNK) + 1
+        patch.setattr(reports, "CHUNK_LINES", 1)  # a chunk to a head prefix's tail block
+        blocks = {fmt: chunk_rows(list(reports.emit(report, fmt))) for fmt in ("text", "csv")}
+        patch.setattr(reports, "CHUNK_LINES", chunk)
+        chunks = {fmt: list(reports.emit(report, fmt)) for fmt in EXTENSIONS}
+    assert "".join(chunks["csv"]) == buffered_csv(("word", "counts", "size"), rows)
+    assert "".join(chunks["text"]).split("\n\n", 1)[1] == reference_count_text(rows)
+    assert "".join(chunks["json"]) == expected_json
+    # each chunk holds whole blocks, the fewest that reach `chunk` rows, and the last the rest;
+    # a format's blocks are its own, as a letter's spelling moves the split
+    for fmt, sizes in blocks.items():
+        assert sum(sizes) == len(rows)
+        expected, rest = [], 0
+        for size in sizes:
+            rest += size
+            if rest >= chunk:
+                expected, rest = expected + [rest], 0
+        assert chunk_rows(chunks[fmt]) == expected + ([rest] if rest else []), fmt
 
 
 def _yes_no(flag):
@@ -429,6 +456,26 @@ def test_count_memory_is_flat_in_class_count():
         # and in r where the output is small: one class, a word of 999,999 letters
         long = child_peak_rss_kb("count", "--k", "1", "--r", "999999", "--format", fmt)
         assert long - small[fmt] < 12 * 1024, fmt
+
+
+def emit_peak(report, fmt):
+    """The tracemalloc peak, in bytes, of emitting a report and dropping each chunk."""
+    tracemalloc.start()
+    try:
+        for _ in reports.emit(report, fmt):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", EXTENSIONS)
+def test_count_emit_allocates_the_same_peak_at_43758_and_352716_classes(fmt):
+    # deterministic, unlike a process's peak RSS; the 352,716-class report is about 16 MB of text
+    emit_peak(build_count_report(2, 2), fmt)  # a first emit builds the layouts it caches
+    small = emit_peak(build_count_report(11, 8), fmt)
+    large = emit_peak(build_count_report(11, 11), fmt)
+    assert abs(large - small) < 2 * 2**20
 
 
 def test_simulate_memory_holds_one_copy_of_a_long_trace():
@@ -856,9 +903,47 @@ def test_json_of_a_report_with_a_key_added_or_removed():
     nested_tagged["params"]["tags"] = nested_tagged["scale"]["tags"] = []  # each [] has a slot
     nested_renamed = json.loads(dumped(energy))  # the same values, one key fewer and one more
     nested_renamed["params"]["h"] = nested_renamed["params"].pop("hbar")
+    # the same keys at every depth, an object moved from one key to the other
+    moved = [dict(solve_n, t={"a": {"b": 1}, "c": 2}), dict(solve_n, t={"a": 2, "c": {"b": 1}})]
     for report in (added, removed, tagged, nested_added, nested_removed, nested_tagged,
-                   nested_renamed, solve_n, energy):
+                   nested_renamed, *moved, solve_n, energy):
         assert render(report, "json") == dumped(report)
+
+
+_JSON_EDITS = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**30, 10**30) | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.lists(st.text(), max_size=4),
+    lambda values: st.dictionaries(st.text(), values, max_size=3), max_leaves=8)
+
+
+def _objects(node):
+    """Every object in a report, itself first, depth first."""
+    if isinstance(node, dict):
+        yield node
+    for value in node.values() if isinstance(node, dict) else node:
+        if isinstance(value, (dict, list)):
+            yield from _objects(value)
+
+
+@given(data=st.data(), report=st.sampled_from([
+    build_grover_solve_n_report(3), build_grover_solve_q_report(20.2),
+    build_energy_report(PhysicalParams(), 3.0), build_count_report(4, 3, include_classes=False),
+    build_analyze_report(builtin_standard_code(), "builtin:standard")]))
+@example(data=None, report=dict(build_grover_solve_n_report(3), tags=["a", "b"]))  # at its depth
+@example(data=None, report=dict(build_grover_solve_n_report(3), tags=['say "x"']))  # escaped
+@example(data=None, report=dict(build_grover_solve_n_report(3), tags=["\u00e9"]))  # as \u00e9
+@example(data=None, report={"command": "energy", "\0": 1, "q": {"x": ["\\", "\n"]}})
+@settings(max_examples=300, deadline=None)
+def test_json_of_a_report_edited_at_any_depth_matches_json_dumps(data, report):
+    """A key added to any object, holding a scalar, a list of any text, [] or an object: the JSON
+    is json.dumps's, each list of strings at its depth and escaped, and it loads as the report."""
+    report = json.loads(json.dumps(report))  # a copy to edit
+    if data is not None:
+        node = data.draw(st.sampled_from(list(_objects(report))))
+        node[data.draw(st.text().filter(lambda key: key not in node))] = data.draw(_JSON_EDITS)
+    text = render(report, "json")
+    assert text == json.dumps(report, indent=2) + "\n"
+    assert json.loads(text) == report
 
 
 # --- energy ----------------------------------------------------------------
