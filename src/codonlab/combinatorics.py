@@ -151,7 +151,7 @@ class MultisetClasses(Record):
     `len()` is C(k+r-1, r) and generates nothing. Each iteration generates
     the classes afresh in ascending order of the canonical word, so memory
     does not grow with the class count: iterating yields MultisetClass
-    objects, `rows()` yields plain (word, counts, size) tuples.
+    objects, each a head prefix joined to a row of its tail block (see _blocks).
     """
 
     alphabet: tuple[str, ...]
@@ -161,8 +161,11 @@ class MultisetClasses(Record):
         return math.comb(len(self.alphabet) + self.r - 1, self.r)
 
     def __iter__(self):
-        for word, counts, _ in self.rows():
-            yield MultisetClass(word, tuple(map(int, counts.split(","))), self.alphabet)
+        prefixes, block = self._blocks(self.alphabet, ",")
+        for word, counts, _, left in prefixes:
+            for tail_word, tail in zip(*block(left)[:2]):
+                yield MultisetClass(word + tail_word, tuple(map(int, (counts + tail).split(","))),
+                                    self.alphabet)
 
     def _blocks(self, letters, sep):
         """The head's prefixes, from _walk, and the tail's block for the `left` a prefix leaves.
@@ -186,20 +189,6 @@ class MultisetClasses(Record):
             words, counts, sizes, _ = zip(*_walk(letters[k - m:], left, digits, ends))
             blocks.append((words, counts, sizes, sum(sizes), max(map(len, counts))))
         return _walk(letters[:k - m] + ("",), r, digits, ("",) * (r + 1)), blocks.__getitem__
-
-    def rows(self, letters=None, sep: str = ","):
-        """Yield (word, counts, size) per class without building a class object.
-
-        `word` spells the class with `letters`, one string per alphabet letter
-        (default the alphabet itself); `counts` is the occupancy vector as text
-        joined by `sep`; `size` is the multinomial r! / prod(counts!). Each head
-        prefix is joined to its whole suffix block at once (see _blocks).
-        """
-        prefixes, block = self._blocks(self.alphabet if letters is None else tuple(letters), sep)
-        for word, counts, size, left in prefixes:
-            words, tails, sizes, _, _ = block(left)
-            yield from zip(map(word.__add__, words), map(counts.__add__, tails),
-                           map(size.__mul__, sizes))
 
     def survey(self) -> tuple[int, int]:
         """(sum of the class sizes, widest counts text joined by ","), one step per head prefix."""

@@ -70,7 +70,7 @@ def _table(headers, rows):
 
 
 def _json_skeleton(node):
-    """`node` with each value, a scalar, a list of strings or an empty list, replaced by "\\0"."""
+    """`node` with each value but an object or a list of objects replaced by "\\0"."""
     if isinstance(node, dict):
         return {key: _json_skeleton(value) for key, value in node.items()}
     if isinstance(node, list) and node and isinstance(node[0], dict):
@@ -86,18 +86,18 @@ _json_layouts = {}
 def _json(report, key=None, items=()):
     """The report as json.dumps(report, indent=2) + "\\n" spells it, from its shape's layout.
 
-    With `key`, the field `key` is left out of the head and closes it as a list of `items`,
-    blocks of _chunks joined by ",", each item spelled as json.dumps spells it, its line break
-    first. Every builder keeps one shape rule: keys, their order and the length of every list of
-    objects do not depend on the inputs, so the first report's layout, with a `{}` slot for each
-    value, serves every report of its command. A layout is keyed by where each object starts and
-    its keys, so a caller's report of another shape gets its own. Values are spelled as json.dumps
-    spells them (floats are finite), a list of strings at its depth, escaped if any is not plain.
+    With `key`, the field `key` is spelled where it sits as a list of `items`, blocks of _chunks
+    joined by ",", each item spelled as json.dumps spells it, its line break first. Every builder
+    keeps one shape rule: keys, their order and the length of every list of objects do not depend
+    on the inputs, so the first report's layout, with a `{}` slot for each value, serves every
+    report of its command. A layout is keyed by where each object starts and its keys, so a
+    caller's report of another shape gets its own. Values are spelled as json.dumps spells them
+    (floats are finite), a list of strings at its depth, escaped if any is not plain.
     """
     from json.encoder import encode_basestring_ascii  # how json.dumps escapes a string
     if key and not len(report[key]):  # an empty list is one value, [], as json.dumps spells it
         report, key = {**report, key: []}, None
-    report = {name: value for name, value in report.items() if name != key} if key else report
+    head = {name: value for name, value in report.items() if name != key} if key else report
     values, keys, strings, spellings = [], [], [], {}
 
     def add(node, depth, escape=False):  # in json.dumps order, as the builder makes each object
@@ -110,10 +110,14 @@ def _json(report, key=None, items=()):
             kind = type(value)
             if kind is dict or kind is list and value and type(value[0]) is dict:
                 add(value, depth + 1, escape)
-            elif kind is list:  # of strings, or empty
-                strings.extend(value)
-                value = [encode_basestring_ascii(s)[1:-1] for s in value] if escape else value
-                values.append(start + sep.join(value) + end if value else "[]")
+            elif kind is list:  # of strings, or empty; any other list as json.dumps spells it
+                try:
+                    value = [encode_basestring_ascii(s)[1:-1] for s in value] if escape else value
+                    values.append(start + sep.join(value) + end if value else "[]")
+                    strings.extend(value)
+                except TypeError:
+                    import json
+                    values.append(json.dumps(value, indent=2).replace("\n", "\n  " + "  " * depth))
             elif isinstance(value, str):
                 values.append(encode_basestring_ascii(value))
             elif value is None or isinstance(value, bool):
@@ -121,20 +125,21 @@ def _json(report, key=None, items=()):
             else:  # an int or a finite float
                 values.append(repr(value))
 
-    add(report, 0)
+    add(head, 0)
     text = "".join(strings)  # plain, or every string in a list is escaped
     if not (text.isascii() and text.isprintable() and '"' not in text and "\\" not in text):
         values[:], keys[:] = [], []
-        add(report, 0, True)
-    shape = (report["command"], report.get("mode"), key, tuple(keys))
-    if shape not in _json_layouts:
+        add(head, 0, True)
+    shape = (report["command"], report.get("mode"), key, key and tuple(report), tuple(keys))
+    if shape not in _json_layouts:  # a value's slot is a "\0" that ends a line, as no key does
         import json
-        text = json.dumps(_json_skeleton(report), indent=2)
-        text = text[:-2] + f',\n  "{key}": [' if key else text + "\n"
-        text = text.replace("{", "{{").replace("}", "}}")
-        _json_layouts[shape] = text.replace(r': "\u0000"', ": {}")  # a value's slot, not a key
-    head = _json_layouts[shape].format(*values)
-    return _chunks(head, items, ",", "\n  ]\n}\n") if key else [head]
+        text = json.dumps(_json_skeleton(report) | ({key: "\1"} if key else {}), indent=2) + "\n"
+        text = text.replace("{", "{{").replace("}", "}}").replace(r': "\u0001"', ": [\0")
+        _json_layouts[shape] = text.replace('"\\u0000",\n', "{},\n").replace('"\\u0000"\n', "{}\n")
+    if not key:
+        return [_json_layouts[shape].format(*values)]
+    text, rest = _json_layouts[shape].format(*values).split("\0")  # at the stream's "[" and "]"
+    return _chunks(text, items, ",", "\n  ]" + rest)
 
 
 # --- count ---------------------------------------------------------------
@@ -207,8 +212,10 @@ def _count_json(report):
     classes = report["classes"]
     letters = [encode_basestring_ascii(letter)[1:-1] for letter in classes.alphabet]
     identity = classes.survey()[0] == report["arrangements"]
+    fields = [*report.items()]  # the partition identity is listed just before the classes
+    fields.insert([*report].index("classes"), ("partition_identity_holds", identity))
     row = '\n    {"word": "\0%s", "counts": [\1%s], "size": %%d}'
-    return _json({**report, "partition_identity_holds": identity}, "classes", _count_blocks(
+    return _json(dict(fields), "classes", _count_blocks(
         classes, letters, ", ", lambda word, counts, _: row % (word, counts), ","))
 
 

@@ -130,9 +130,8 @@ def partition_classes(code: GeneticCode) -> SymmetryReport:
     return SymmetryReport(per_class, *counts)
 
 
-def multiset_invariance_violation(code: GeneticCode) -> SymmetryReport:
-    """The partition_classes report: no pair differs, stop a symbol, iff every class is coherent."""
-    return partition_classes(code)
+# the paper's name for the same report: no pair differs, stop a symbol, iff every class is coherent
+multiset_invariance_violation = partition_classes
 
 
 PREFIXES = tuple(b1 + b2 for b1 in INDEX_BASE_ORDER for b2 in INDEX_BASE_ORDER)

@@ -5,6 +5,7 @@ stdlib-only oracle (itertools over the full word space) or is a value
 that the oracle reproduced before it was frozen into the test.
 """
 
+import csv
 import itertools
 import json
 import math
@@ -30,6 +31,7 @@ from codonlab import (
     generic_alphabet,
     multiset_count,
 )
+from codonlab.reports import build_count_report, emit
 
 
 def brute_words(alphabet, r):
@@ -222,17 +224,14 @@ ROW_CASES += [(one_column_letters(2000), 1), (one_column_letters(60), 2)]
 
 @pytest.mark.parametrize("alphabet, r", ROW_CASES, ids=[f"{r}-{len(a)}" for a, r in ROW_CASES])
 def test_rows_spell_every_class_in_order(alphabet, r):
+    # iterating the classes: each a head prefix joined to a row of its tail block
     oracle = brute_class_sizes(alphabet, r)
-    classes = enumerate_multisets(len(alphabet), r, alphabet=alphabet)
-    rows = list(classes.rows())
-    assert [word for word, _, _ in rows] == sorted(oracle)
-    for word, counts, size in rows:
-        assert counts == ",".join(str(word.count(a)) for a in alphabet)
-        assert size == oracle[word]
-    spelled = classes.rows(letters=[f"<{a}>" for a in alphabet], sep="; ")
-    for (word, counts, size), (other, other_counts, other_size) in zip(rows, spelled, strict=True):
-        assert other == "".join(f"<{a}>" for a in word)
-        assert (other_counts, other_size) == (counts.replace(",", "; "), size)
+    classes = list(enumerate_multisets(len(alphabet), r, alphabet=alphabet))
+    assert [cls.canonical_word for cls in classes] == sorted(oracle)
+    for cls in classes:
+        assert cls.counts == tuple(cls.canonical_word.count(a) for a in alphabet)
+        assert cls.alphabet == alphabet
+        assert class_size(cls) == oracle[cls.canonical_word]
 
 
 def reference_rows(k, r):
@@ -248,34 +247,47 @@ def reference_rows(k, r):
 
 
 # Sizes past the brute-force grid, where a class is a head prefix joined to a suffix block
-# and the split moves with the spelling: (5, 38) has a head of 3 slots and a tail of 2 in
-# the default spelling, 4 and 1 with the "<A>" letters; (7, 12), 3 and 4 by default, 4 and
-# 3 with its letters JSON-escaped; (6, 27), 4 and 2; (3, 400) has no tail, while its survey
-# has a tail of one slot; k = 1 has no tail, and r = 0 a head of one slot.
+# and the split moves with the spelling: (7, 12) has a head of 4 slots and a tail of 3 in text
+# and CSV, 5 and 2 with its letters JSON-escaped, 3 and 4 in the survey; (5, 38), 3 and 2, and
+# 2 and 3 in the survey; (6, 27), 3 and 3; (3, 400) has no tail, while its survey has a tail of
+# one slot; k = 1 has no tail; r = 0 a tail of one slot, but none in JSON.
 BLOCK_CASES = [(generic_alphabet(5), 38), (generic_alphabet(6), 27), (one_column_letters(7), 12),
                (generic_alphabet(3), 400), (generic_alphabet(1), 9), (generic_alphabet(4), 0)]
 
 
+def printed_lines(report, fmt):
+    """A report's lines as emit() hands them out, a chunk at a time: no format is held whole."""
+    rest = ""
+    for chunk in emit(report, fmt):
+        *lines, rest = (rest + chunk).split("\n")
+        yield from lines
+    if rest:
+        yield rest
+
+
 @pytest.mark.parametrize("alphabet, r", BLOCK_CASES, ids=[f"{len(a)}-{r}" for a, r in BLOCK_CASES])
 def test_block_rows_match_an_independent_reference(alphabet, r):
+    """Each class that the JSON, CSV and text layouts print is the reference's, in its order, and
+    the survey is the sizes' sum and the widest counts text."""
     k = len(alphabet)
-    classes = enumerate_multisets(k, r, alphabet=alphabet)
-    spellings = [  # (letters, sep) as the text, CSV and JSON layouts spell a class, and wider
-        (alphabet, ","),
-        (alphabet, ":"),
-        ([json.dumps(a)[1:-1] for a in alphabet], ", "),
-        ([f"<{a}>" for a in alphabet], "; "),
-    ]
-    streams = [classes.rows(letters, sep) for letters, sep in spellings]
+    report = build_count_report(k, r, alphabet=alphabet)
+    classes = (json.loads(line.rstrip(",")) for line in printed_lines(report, "json")
+               if line.startswith("    {"))  # a class to a line
+    csv_rows = csv.reader(printed_lines(report, "csv"))
+    assert next(csv_rows) == ["word", "counts", "size"]
+    text = itertools.dropwhile(bool, printed_lines(report, "text"))  # to the table's blank line
+    assert next(text) == "" and next(text).split() == ["word", "counts", "size"]
     total = widest = 0
-    for (counts, size), *rows in zip(reference_rows(k, r), *streams, strict=True):
-        digits = list(map(str, counts))
-        for (letters, sep), row in zip(spellings, rows):
-            assert row == ("".join(map(str.__mul__, letters, counts)), sep.join(digits), size)
+    for (counts, size), cls, row, line in zip(reference_rows(k, r), classes, csv_rows, text,
+                                              strict=True):
+        word, digits = "".join(map(str.__mul__, alphabet, counts)), list(map(str, counts))
+        assert cls == {"word": word, "counts": counts, "size": size}
+        assert row == [word, ":".join(digits), str(size)]
+        assert line.split() == [word or "(empty)", ",".join(digits), str(size)]
         total += size
-        widest = max(widest, len(rows[0][1]))
+        widest = max(widest, len(",".join(digits)))
     assert total == k**r
-    assert classes.survey() == (total, widest)
+    assert report["classes"].survey() == (total, widest)
 
 
 # --- canonicalize -----------------------------------------------------------

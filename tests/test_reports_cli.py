@@ -910,10 +910,11 @@ def test_json_of_a_report_with_a_key_added_or_removed():
         assert render(report, "json") == dumped(report)
 
 
-_JSON_EDITS = st.recursive(
+_JSON_EDITS = st.recursive(  # lists of any JSON value: nested, mixed, of objects or of strings
     st.none() | st.booleans() | st.integers(-10**30, 10**30) | st.text()
     | st.floats(allow_nan=False, allow_infinity=False) | st.lists(st.text(), max_size=4),
-    lambda values: st.dictionaries(st.text(), values, max_size=3), max_leaves=8)
+    lambda values: st.dictionaries(st.text(), values, max_size=3) | st.lists(values, max_size=4),
+    max_leaves=8)
 
 
 def _objects(node):
@@ -925,25 +926,54 @@ def _objects(node):
             yield from _objects(value)
 
 
+def _listed(report, stream):
+    """A report as json.dumps can take it, its stream listed, and its JSON: json.dumps's, but a
+    count's classes one to a line, its partition identity just before them."""
+    if stream == "trace":
+        return _dumped(dict(report, trace=list(report["trace"])))
+    if stream is None:
+        return _dumped(report)
+    listed = {}
+    for key, value in report.items():
+        if key == "classes":
+            value = [{"word": c.canonical_word, "counts": list(c.counts), "size": class_size(c)}
+                     for c in value]
+            total = sum(c["size"] for c in value)
+            listed["partition_identity_holds"] = total == report["arrangements"]
+        listed[key] = value
+    text = json.dumps(dict(listed, classes=[0]), indent=2) + "\n"
+    lines = ",\n    ".join(map(json.dumps, listed["classes"]))
+    return listed, text.replace('\n  "classes": [\n    0\n', f'\n  "classes": [\n    {lines}\n')
+
+
 @given(data=st.data(), report=st.sampled_from([
     build_grover_solve_n_report(3), build_grover_solve_q_report(20.2),
     build_energy_report(PhysicalParams(), 3.0), build_count_report(4, 3, include_classes=False),
-    build_analyze_report(builtin_standard_code(), "builtin:standard")]))
+    build_analyze_report(builtin_standard_code(), "builtin:standard"),
+    dict(build_grover_simulate_report(5, 3, 1), tags=["a"]),
+    dict(build_count_report(3, 2, alphabet='"%\u00e9'), tags=["a"])]))  # a key after the stream
 @example(data=None, report=dict(build_grover_solve_n_report(3), tags=["a", "b"]))  # at its depth
 @example(data=None, report=dict(build_grover_solve_n_report(3), tags=['say "x"']))  # escaped
 @example(data=None, report=dict(build_grover_solve_n_report(3), tags=["\u00e9"]))  # as \u00e9
 @example(data=None, report={"command": "energy", "\0": 1, "q": {"x": ["\\", "\n"]}})
+@example(data=None, report=dict(build_grover_simulate_report(4, 2, 0), tags=["a"]))  # after it
+@example(data=None, report=dict(build_grover_solve_n_report(3), tags=[1, 2]))  # not all strings
 @settings(max_examples=300, deadline=None)
 def test_json_of_a_report_edited_at_any_depth_matches_json_dumps(data, report):
-    """A key added to any object, holding a scalar, a list of any text, [] or an object: the JSON
-    is json.dumps's, each list of strings at its depth and escaped, and it loads as the report."""
-    report = json.loads(json.dumps(report))  # a copy to edit
+    """A key added to any object, holding a scalar, a list of any values, [] or an object: the JSON
+    is json.dumps's, each list of strings at its depth and escaped, and it loads as the report. A
+    stream (a trace, a count's classes) is listed where its key sits, before the keys after it."""
+    stream = next((key for key in ("trace", "classes") if key in report), None)
+    streamed = {stream: report[stream]} if stream else {}
+    report = json.loads(json.dumps(dict(report, **dict.fromkeys(streamed))))  # a copy to edit
     if data is not None:
         node = data.draw(st.sampled_from(list(_objects(report))))
         node[data.draw(st.text().filter(lambda key: key not in node))] = data.draw(_JSON_EDITS)
+    report.update(streamed)  # the stream back at its place
+    listed, expected = _listed(report, stream)
     text = render(report, "json")
-    assert text == json.dumps(report, indent=2) + "\n"
-    assert json.loads(text) == report
+    assert text == expected
+    assert json.loads(text) == listed
 
 
 # --- energy ----------------------------------------------------------------
