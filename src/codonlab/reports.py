@@ -70,76 +70,77 @@ def _table(headers, rows):
 
 
 def _json_skeleton(node):
-    """`node` with each value but an object or a list of objects replaced by "\\0"."""
-    if isinstance(node, dict):
+    """`node` with each value that _json's walk does not descend into, by its test, as "\\0"."""
+    if type(node) is dict:
         return {key: _json_skeleton(value) for key, value in node.items()}
-    if isinstance(node, list) and node and isinstance(node[0], dict):
+    if type(node) is list and node and type(node[0]) is dict:
         return list(map(_json_skeleton, node))
     return "\0"
 
 
-# (command, mode, key, each object's start and keys or list's length) -> a layout, from the first
-# report of that shape emitted: a fixed report would, for analyze, parse an unasked table
+# the walk's record, where each object and list of objects starts among the values and its keys
+# or length -> a layout, from the first report of that record: a fixed report would, for analyze,
+# parse an unasked table. A record with a key that is not a string is not kept, as 1 == True
 _json_layouts = {}
 
 
 def _json(report, key=None, items=()):
-    """The report as json.dumps(report, indent=2) + "\\n" spells it, from its shape's layout.
+    """The report as json.dumps(report, indent=2) + "\\n" spells it, from its record's layout.
 
-    With `key`, the field `key` is spelled where it sits as a list of `items`, blocks of _chunks
-    joined by ",", each item spelled as json.dumps spells it, its line break first. Every builder
-    keeps one shape rule: keys, their order and the length of every list of objects do not depend
-    on the inputs, so the first report's layout, with a `{}` slot for each value, serves every
-    report of its command. A layout is keyed by where each object starts and its keys, so a
-    caller's report of another shape gets its own. Values are spelled as json.dumps spells them
-    (floats are finite), a list of strings at its depth, escaped if any is not plain.
+    With `key`, the field `key` is a stream: one value, a list of `items` spelled where it sits,
+    blocks of _chunks joined by ",", each item as json.dumps spells it, its line break first. Every
+    builder keeps one shape rule: keys, their order and the length of every list of objects do not
+    depend on the inputs, so the first report's layout, a `{}` slot for each value, serves every
+    report of its command. Values are spelled as json.dumps spells them (floats are finite), a list
+    of strings at its depth, escaped if any is not plain, and any other value by json.dumps itself.
     """
+    import json
     from json.encoder import encode_basestring_ascii  # how json.dumps escapes a string
-    if key and not len(report[key]):  # an empty list is one value, [], as json.dumps spells it
-        report, key = {**report, key: []}, None
-    head = {name: value for name, value in report.items() if name != key} if key else report
+    stream = key and id(report[key])  # its id: `add` calls itself, a cycle that outlives _json
     values, keys, strings, spellings = [], [], [], {}
 
     def add(node, depth, escape=False):  # in json.dumps order, as the builder makes each object
-        keys.extend((len(values), tuple(node) if type(node) is dict else len(node)))
+        keys.extend((len(values), len(node) if type(node) is list else tuple(node)))
         if depth not in spellings:  # a list of strings' opening, separator and closing here
             item = "\n" + "  " * (depth + 2)
             spellings[depth] = f'[{item}"', f'",{item}"', f'"{item[:-2]}]'
         start, sep, end = spellings[depth]
-        for value in node.values() if type(node) is dict else node:
+        for value in node if type(node) is list else node.values():
             kind = type(value)
             if kind is dict or kind is list and value and type(value[0]) is dict:
                 add(value, depth + 1, escape)
-            elif kind is list:  # of strings, or empty; any other list as json.dumps spells it
+            elif kind is list and id(value) != stream:  # of strings, or empty
                 try:
                     value = [encode_basestring_ascii(s)[1:-1] for s in value] if escape else value
                     values.append(start + sep.join(value) + end if value else "[]")
                     strings.extend(value)
-                except TypeError:
-                    import json
+                except TypeError:  # a mixed list
                     values.append(json.dumps(value, indent=2).replace("\n", "\n  " + "  " * depth))
-            elif isinstance(value, str):
+            elif kind is str:
                 values.append(encode_basestring_ascii(value))
-            elif value is None or isinstance(value, bool):
+            elif value is None or kind is bool:
                 values.append("null" if value is None else "true" if value else "false")
-            else:  # an int or a finite float
+            elif kind is int or kind is float:
                 values.append(repr(value))
+            elif id(value) == stream:  # its "[", and the "\0" where the text is cut
+                values.append("[\0" if len(value) else "[]")
+            else:  # a tuple, a subclass of dict, int or float
+                values.append(json.dumps(value, indent=2).replace("\n", "\n  " + "  " * depth))
 
-    add(head, 0)
+    add(report, 0)
     text = "".join(strings)  # plain, or every string in a list is escaped
     if not (text.isascii() and text.isprintable() and '"' not in text and "\\" not in text):
         values[:], keys[:] = [], []
-        add(head, 0, True)
-    shape = (report["command"], report.get("mode"), key, key and tuple(report), tuple(keys))
-    if shape not in _json_layouts:  # a value's slot is a "\0" that ends a line, as no key does
-        import json
-        text = json.dumps(_json_skeleton(report) | ({key: "\1"} if key else {}), indent=2) + "\n"
-        text = text.replace("{", "{{").replace("}", "}}").replace(r': "\u0001"', ": [\0")
-        _json_layouts[shape] = text.replace('"\\u0000",\n', "{},\n").replace('"\\u0000"\n', "{}\n")
-    if not key:
-        return [_json_layouts[shape].format(*values)]
-    text, rest = _json_layouts[shape].format(*values).split("\0")  # at the stream's "[" and "]"
-    return _chunks(text, items, ",", "\n  ]" + rest)
+        add(report, 0, True)
+    layout = _json_layouts.get(tuple(keys))
+    if layout is None:  # a value's slot is a "\0" that ends a line, as no key does
+        text = json.dumps(_json_skeleton(dict(report)), indent=2) + "\n"  # a dict subclass too
+        text = text.replace("{", "{{").replace("}", "}}").replace('"\\u0000",\n', "{},\n")
+        layout = text.replace('"\\u0000"\n', "{}\n")
+        if all(type(name) is str for names in keys if type(names) is tuple for name in names):
+            _json_layouts[tuple(keys)] = layout
+    head, cut, rest = layout.format(*values).partition("\0")  # at the stream's "[" and "]"
+    return _chunks(head, items, ",", "\n  ]" + rest) if cut else [head]
 
 
 # --- count ---------------------------------------------------------------
@@ -423,8 +424,7 @@ def build_energy_report(params, scale_factor: float) -> dict:
     dp = physics.momentum_uncertainty(params)
     comparison = physics.scale_comparison(params, scale_factor)
     return {"command": "energy",
-            "params": {name: round_sig(getattr(params, name))  # PhysicalParams' fields, in order
-                       for name in ("hbar", "delta_x", "mass", "hbond_energy")},
+            "params": {name: round_sig(value) for name, value in vars(params).items()},
             "momentum_uncertainty": round_sig(dp),
             "fluctuation_energy_erg": round_sig(comparison.energy_base),
             "fluctuation_energy_ev": round_sig(physics.erg_to_ev(comparison.energy_base)),

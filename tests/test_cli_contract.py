@@ -299,5 +299,6 @@ def test_sigint_while_writing_a_file_exits_130_and_leaves_no_file(tmp_path):
     time.sleep(0.02)  # into the write, which spells 2**20 + 1 entries
     child.send_signal(signal.SIGINT)
     assert child.wait(timeout=60) == 130
-    assert child.stderr.read() == b"error: interrupted\n"
+    with child.stderr:
+        assert child.stderr.read() == b"error: interrupted\n"
     assert os.listdir(tmp_path) == []

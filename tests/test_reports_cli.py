@@ -5,7 +5,9 @@ exceeded. Failing runs must leave stdout empty (no partial reports).
 """
 
 import contextlib
+import copy
 import csv
+import gc
 import importlib
 import io
 import json
@@ -15,6 +17,8 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter, OrderedDict
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
@@ -910,10 +914,45 @@ def test_json_of_a_report_with_a_key_added_or_removed():
         assert render(report, "json") == dumped(report)
 
 
-_JSON_EDITS = st.recursive(  # lists of any JSON value: nested, mixed, of objects or of strings
-    st.none() | st.booleans() | st.integers(-10**30, 10**30) | st.text()
+class _Level(IntEnum):  # an int subclass: json.dumps spells a member as its int
+    LOW = 1
+
+
+def test_json_of_one_report_never_changes_how_another_prints(monkeypatch):
+    # a value that the walk does not descend into is one slot, in the layout cache's key too, and
+    # printed as json.dumps prints it: a dict subclass, a tuple, an IntEnum member. A key 1 is
+    # equal to a key True, yet each prints its own spelling
+    monkeypatch.setattr(reports, "_json_layouts", {})
+    solve_n = build_grover_solve_n_report(3)
+    for value in (OrderedDict(a=1), 5, (1, 2), Counter("ab"), [OrderedDict(a=1)], _Level.LOW,
+                  {True: 1}, {1: 1}, [{"a": 1}, (2,)], 1.5):
+        report = dict(solve_n, t=value)
+        assert render(report, "json") == json.dumps(report, indent=2) + "\n"
+    report = OrderedDict(solve_n, t=(1, 2))  # the report itself a dict subclass
+    assert render(report, "json") == json.dumps(report, indent=2) + "\n"
+
+
+def test_json_of_a_report_holds_no_reference_to_its_stream_afterwards():
+    # with the cyclic collector off, a reference left in a cycle would stay: a long trace's
+    # floats would live on until some later collection, which then frees them mid-operation
+    for report in (build_grover_simulate_report(4, 300, 0), build_count_report(3, 4)):
+        stream = next(value for key, value in report.items() if key in ("trace", "classes"))
+        before = sys.getrefcount(stream)
+        gc.disable()
+        try:
+            render(report, "json")
+            assert sys.getrefcount(stream) == before
+        finally:
+            gc.enable()
+
+
+_JSON_EDITS = st.recursive(  # lists of any JSON value: nested, mixed, of objects or of strings;
+    # tuples, OrderedDicts and an IntEnum member, which json.dumps spells as lists, objects and ints
+    st.none() | st.booleans() | st.integers(-10**30, 10**30) | st.text() | st.just(_Level.LOW)
     | st.floats(allow_nan=False, allow_infinity=False) | st.lists(st.text(), max_size=4),
-    lambda values: st.dictionaries(st.text(), values, max_size=3) | st.lists(values, max_size=4),
+    lambda values: st.dictionaries(st.text(), values, max_size=3) | st.lists(values, max_size=4)
+    | st.lists(values, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), values, max_size=3).map(OrderedDict),
     max_leaves=8)
 
 
@@ -958,6 +997,7 @@ def _listed(report, stream):
 @example(data=None, report={"command": "energy", "\0": 1, "q": {"x": ["\\", "\n"]}})
 @example(data=None, report=dict(build_grover_simulate_report(4, 2, 0), tags=["a"]))  # after it
 @example(data=None, report=dict(build_grover_solve_n_report(3), tags=[1, 2]))  # not all strings
+@example(data=None, report=dict(build_grover_solve_n_report(3), t=(1, 2)))  # a tuple, as a list
 @settings(max_examples=300, deadline=None)
 def test_json_of_a_report_edited_at_any_depth_matches_json_dumps(data, report):
     """A key added to any object, holding a scalar, a list of any values, [] or an object: the JSON
@@ -965,7 +1005,7 @@ def test_json_of_a_report_edited_at_any_depth_matches_json_dumps(data, report):
     stream (a trace, a count's classes) is listed where its key sits, before the keys after it."""
     stream = next((key for key in ("trace", "classes") if key in report), None)
     streamed = {stream: report[stream]} if stream else {}
-    report = json.loads(json.dumps(dict(report, **dict.fromkeys(streamed))))  # a copy to edit
+    report = copy.deepcopy(dict(report, **dict.fromkeys(streamed)))  # a copy to edit
     if data is not None:
         node = data.draw(st.sampled_from(list(_objects(report))))
         node[data.draw(st.text().filter(lambda key: key not in node))] = data.draw(_JSON_EDITS)
@@ -973,7 +1013,7 @@ def test_json_of_a_report_edited_at_any_depth_matches_json_dumps(data, report):
     listed, expected = _listed(report, stream)
     text = render(report, "json")
     assert text == expected
-    assert json.loads(text) == listed
+    assert json.loads(text) == json.loads(json.dumps(listed))  # tuples load as lists
 
 
 # --- energy ----------------------------------------------------------------
@@ -1482,7 +1522,8 @@ def test_reader_closing_stdout_early_exits_2_without_traceback():
     )
     assert child.stdout.read(10) == b'{\n  "comma'
     child.stdout.close()
-    err = child.stderr.read().decode()
+    with child.stderr:
+        err = child.stderr.read().decode()
     assert child.wait(timeout=60) == 2
     assert err == "error: cannot write the report to stdout: [Errno 32] Broken pipe\n"
 
